@@ -297,7 +297,7 @@ int main(int argc, char** argv) {
     // The TPW search probes the engine from parallel workers sharing a
     // probe memo, so kernel counts here vary slightly run to run; they go
     // under "kernels" (informational) rather than exact-gated "kernel_*"
-    // keys. Only the timing is gated for this section.
+    // keys. The timing and the heap allocations per search are gated.
     workload::JsonWriter section;
     section.BeginObject();
     section.KV("simd", SimdLevelName());
@@ -306,6 +306,10 @@ int main(int argc, char** argv) {
                tpw_searches > 0
                    ? tpw_ms_sum / static_cast<double>(tpw_searches)
                    : 0.0);
+    section.KV("heap_allocs_per_search",
+               tpw_searches > 0 ? static_cast<double>(total_heap_allocs) /
+                                      static_cast<double>(tpw_searches)
+                                : 0.0);
     section.Key("kernels");
     section.BeginObject();
     section.KV("array_array", kernel_totals.kernel_array_array);

@@ -7,6 +7,10 @@
 //   * timing fields (key ends in "_us" or "_ms"): regression when
 //     current > max(baseline * 2, baseline + 10) — generous, because CI
 //     runners are noisy; the counters below carry the exactness.
+//   * allocation counts (key starts with "heap_allocs"): regression when
+//     current > baseline * 1.25. A search's allocation count barely moves
+//     between runs, so this catches a return to per-path heap traffic
+//     (e.g. string-keyed dedup, ~5x more) that timing noise would hide.
 //   * kernel dispatch counters (key starts with "kernel_"): must match the
 //     baseline exactly — the dispatch decisions are deterministic for a
 //     given dataset seed. "kernel_scalar_fallback" is only compared when
@@ -128,7 +132,17 @@ inline int CompareKernelTree(const workload::JsonValue& base,
     const bool is_timing = key.size() > 3 && (key.ends_with("_us") ||
                                               key.ends_with("_ms"));
     const bool is_counter = key.rfind("kernel_", 0) == 0;
-    if (is_timing) {
+    const bool is_allocs = key.rfind("heap_allocs", 0) == 0;
+    if (is_allocs) {
+      const double limit = want * 1.25;
+      if (got > limit) {
+        std::fprintf(stderr,
+                     "KERNEL GATE: %s = %.0f exceeds limit %.0f "
+                     "(baseline %.0f)\n",
+                     name.c_str(), got, limit, want);
+        ++violations;
+      }
+    } else if (is_timing) {
       const double limit = std::max(want * 2.0, want + 10.0);
       if (got > limit) {
         std::fprintf(stderr,

@@ -1,8 +1,9 @@
 // Arena: a bump-pointer allocation region implementing
 // std::pmr::memory_resource, so std::pmr containers can draw from it
 // directly. Built for the request-scoped allocation pattern of the TPW
-// pipeline: the weave stage creates millions of small vectors (tuple-path
-// vertex/row/projection arrays) that all die together when the search
+// pipeline: the weave stage creates thousands of small vectors per search
+// (seven vertex/row/projection lanes per woven tuple path, most of them
+// duplicates the dedup discards) that all die together when the search
 // finishes, so individual deallocation is a no-op and the whole region is
 // recycled with Reset() between searches.
 //

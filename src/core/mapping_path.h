@@ -98,9 +98,9 @@ class MappingPath {
   /// labeled trees (with projections) are isomorphic.
   std::string Canonical() const;
 
-  bool operator==(const MappingPath& other) const {
-    return Canonical() == other.Canonical();
-  }
+  /// \brief Equal iff the Canonical() forms are equal (compared through
+  /// the integer keys of core/canonical_key.h, without building strings).
+  bool operator==(const MappingPath& other) const;
 
   /// \brief Human-readable description, e.g.
   /// "movie[1:title]-(direct)-person[2:name]".

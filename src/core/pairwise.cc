@@ -1,10 +1,8 @@
 #include "core/pairwise.h"
 
-#include <set>
-#include <string>
-
 #include "common/failpoint.h"
 #include "common/logging.h"
+#include "core/canonical_key.h"
 #include "core/parallel_stage.h"
 
 namespace mweaver::core {
@@ -45,8 +43,9 @@ PairwiseMappingMap GeneratePairwiseMappingPaths(
   const storage::Database& db = schema_graph.db();
   const size_t m = locations.num_columns();
   PairwiseMappingMap pmpm;
-  // Canonical forms already emitted, per column pair.
-  std::map<ColumnPair, std::set<std::string>> seen;
+  // Keys already emitted, each prefixed by its column pair.
+  CanonicalKeySet seen;
+  std::vector<KeyToken> seen_key;
 
   // Attributes of L(j) grouped by relation, for endpoint lookups.
   std::vector<std::map<storage::RelationId, std::vector<storage::AttributeId>>>
@@ -80,7 +79,9 @@ PairwiseMappingMap GeneratePairwiseMappingPaths(
                   BuildChain(start.relation, walk, static_cast<int>(i),
                              start.attribute, static_cast<int>(j), end_attr);
               const ColumnPair key{static_cast<int>(i), static_cast<int>(j)};
-              if (seen[key].insert(path.Canonical()).second) {
+              seen_key.assign({key.first, key.second});
+              AppendCanonicalKey(path, &seen_key);
+              if (seen.Insert(seen_key).inserted) {
                 pmpm[key].push_back(std::move(path));
               }
             }

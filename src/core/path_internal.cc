@@ -40,6 +40,63 @@ std::vector<std::vector<AdjEdge>> BuildAdjacency(
   return adj;
 }
 
+namespace {
+
+// Fills the CSR arrays from (parent, fk, from_side) accessors, visiting
+// vertices in index order exactly like BuildAdjacency so neighbor order
+// matches.
+template <typename Parent, typename Fk, typename FromSide>
+void FillCsr(size_t n, Parent parent_of, Fk fk_of, FromSide from_of,
+             std::vector<int32_t>* offsets, std::vector<AdjEdge>* edges) {
+  offsets->assign(n + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const VertexId parent = parent_of(i);
+    if (parent == kNoVertex) continue;
+    ++(*offsets)[static_cast<size_t>(parent) + 1];
+    ++(*offsets)[i + 1];
+  }
+  for (size_t i = 0; i < n; ++i) (*offsets)[i + 1] += (*offsets)[i];
+  edges->resize(static_cast<size_t>((*offsets)[n]));
+  // Reuse offsets[v] as v's write cursor, then shift back.
+  for (size_t i = 0; i < n; ++i) {
+    const VertexId parent = parent_of(i);
+    if (parent == kNoVertex) continue;
+    const bool from = from_of(i);
+    (*edges)[static_cast<size_t>((*offsets)[static_cast<size_t>(parent)]++)] =
+        AdjEdge{static_cast<VertexId>(i), fk_of(i), from};
+    (*edges)[static_cast<size_t>((*offsets)[i]++)] =
+        AdjEdge{parent, fk_of(i), !from};
+  }
+  for (size_t i = n; i > 0; --i) (*offsets)[i] = (*offsets)[i - 1];
+  (*offsets)[0] = 0;
+}
+
+}  // namespace
+
+void BuildCsrAdjacency(std::span<const VertexId> parents,
+                       std::span<const storage::ForeignKeyId> fks,
+                       std::span<const unsigned char> from_side,
+                       std::vector<int32_t>* offsets,
+                       std::vector<AdjEdge>* edges) {
+  FillCsr(
+      parents.size(), [&](size_t i) { return parents[i]; },
+      [&](size_t i) { return fks[i]; },
+      [&](size_t i) { return from_side[i] != 0; }, offsets, edges);
+}
+
+void BuildCsrAdjacency(std::span<const PathVertex> vertices,
+                       std::vector<int32_t>* offsets,
+                       std::vector<AdjEdge>* edges) {
+  FillCsr(
+      vertices.size(), [&](size_t i) { return vertices[i].parent; },
+      [&](size_t i) { return vertices[i].fk_to_parent; },
+      [&](size_t i) { return vertices[i].is_from_side; }, offsets, edges);
+}
+
+namespace {
+
+// AHU-style encoding of the subtree of `v` entered from `parent` (kNoVertex
+// for the whole tree).
 std::string EncodeFrom(const std::vector<std::vector<AdjEdge>>& adj,
                        const std::vector<std::string>& labels, VertexId v,
                        VertexId parent) {
@@ -63,8 +120,6 @@ std::string EncodeFrom(const std::vector<std::vector<AdjEdge>>& adj,
   }
   return out;
 }
-
-namespace {
 
 std::string BestRooting(const std::vector<std::vector<AdjEdge>>& adj,
                         const std::vector<std::string>& labels) {

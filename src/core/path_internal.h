@@ -4,6 +4,7 @@
 #ifndef MWEAVER_CORE_PATH_INTERNAL_H_
 #define MWEAVER_CORE_PATH_INTERNAL_H_
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -32,14 +33,23 @@ std::vector<std::vector<AdjEdge>> BuildAdjacency(
     std::span<const storage::ForeignKeyId> fks,
     std::span<const unsigned char> from_side);
 
-/// \brief AHU-style encoding of the subtree of `v` entered from `parent`
-/// (pass kNoVertex for the whole tree), given one label per vertex.
-std::string EncodeFrom(const std::vector<std::vector<AdjEdge>>& adj,
-                       const std::vector<std::string>& labels, VertexId v,
-                       VertexId parent);
+/// \brief Compressed (CSR) form of BuildAdjacency into reusable buffers:
+/// the neighbors of `v` are (*edges)[(*offsets)[v] .. (*offsets)[v + 1]),
+/// in the same order BuildAdjacency lists them.
+void BuildCsrAdjacency(std::span<const VertexId> parents,
+                       std::span<const storage::ForeignKeyId> fks,
+                       std::span<const unsigned char> from_side,
+                       std::vector<int32_t>* offsets,
+                       std::vector<AdjEdge>* edges);
 
-/// \brief Minimum of EncodeFrom over all rootings: canonical form of the
-/// unrooted labeled tree.
+/// \brief AoS overload of BuildCsrAdjacency (MappingPath storage).
+void BuildCsrAdjacency(std::span<const PathVertex> vertices,
+                       std::vector<int32_t>* offsets,
+                       std::vector<AdjEdge>* edges);
+
+/// \brief Minimum over all rootings of the tree's AHU-style string
+/// encoding, given one label per vertex: canonical form of the unrooted
+/// labeled tree.
 std::string CanonicalEncoding(std::span<const PathVertex> vertices,
                               const std::vector<std::string>& labels);
 

@@ -1,8 +1,9 @@
 #include "core/ranking.h"
 
 #include <algorithm>
-#include <map>
 #include <string>
+
+#include "core/canonical_key.h"
 
 namespace mweaver::core {
 
@@ -21,14 +22,20 @@ std::vector<CandidateMapping> RankMappings(
     CandidateMapping candidate;
     double score_total = 0.0;
   };
-  std::map<std::string, Group> groups;
+  // Groups in first-seen order, indexed by their mapping key's set id.
+  std::vector<Group> groups;
+  CanonicalKeySet seen;
+  std::vector<KeyToken> key;
   for (const TuplePath& tp : complete_tuple_paths) {
     if (ctx != nullptr && ctx->ShouldStop()) break;
-    MappingPath mapping = tp.ExtractMappingPath();
-    std::string key = mapping.Canonical();
-    auto [it, inserted] = groups.try_emplace(std::move(key));
-    Group& group = it->second;
-    if (inserted) group.candidate.mapping = std::move(mapping);
+    key.clear();
+    AppendMappingKey(tp, &key);
+    const CanonicalKeySet::InsertResult slot = seen.Insert(key);
+    if (slot.inserted) {
+      groups.emplace_back();
+      groups.back().candidate.mapping = tp.ExtractMappingPath();
+    }
+    Group& group = groups[slot.id];
     group.score_total += ScoreTuplePath(tp, options);
     ++group.candidate.support;
     if (group.candidate.example_tuple_paths.size() <
@@ -37,14 +44,15 @@ std::vector<CandidateMapping> RankMappings(
     }
   }
 
-  // Keep each group's canonical key alongside the candidate so the sort
-  // never recomputes canonicalization (O(n log n) comparisons).
+  // The tie-break compares Canonical() strings, built once per group so
+  // the sort never recomputes them.
   std::vector<std::pair<std::string, CandidateMapping>> keyed;
   keyed.reserve(groups.size());
-  for (auto& [key, group] : groups) {
+  for (Group& group : groups) {
     group.candidate.score =
         group.score_total / static_cast<double>(group.candidate.support);
-    keyed.emplace_back(key, std::move(group.candidate));
+    keyed.emplace_back(group.candidate.mapping.Canonical(),
+                       std::move(group.candidate));
   }
   std::sort(keyed.begin(), keyed.end(),
             [](const auto& a, const auto& b) {

@@ -11,7 +11,6 @@ namespace mweaver::core {
 using internal::AdjEdge;
 using internal::BuildAdjacency;
 using internal::CanonicalEncoding;
-using internal::SimplePath;
 
 TuplePath TuplePath::SingleVertex(storage::RelationId relation,
                                   storage::RowId row,
@@ -171,114 +170,136 @@ bool TuplePath::IsConsistent(const storage::Database& db) const {
   return true;
 }
 
-namespace {
-
-// Finds a neighbor of `at` in `path` (excluding `visited` vertices) that
-// matches (relation, row, fk, orientation); kNoVertex if none.
-VertexId FindMergeTarget(const TuplePath& path,
-                         const std::vector<std::vector<AdjEdge>>& adj,
-                         VertexId at, const std::vector<bool>& visited,
-                         storage::RelationId relation, storage::RowId row,
-                         storage::ForeignKeyId fk, bool neighbor_is_from) {
-  for (const AdjEdge& e : adj[static_cast<size_t>(at)]) {
-    if (visited[static_cast<size_t>(e.neighbor)]) continue;
-    if (e.fk != fk || e.neighbor_is_from_side != neighbor_is_from) continue;
-    if (path.vertex(e.neighbor).relation == relation &&
-        path.row(e.neighbor) == row) {
-      return e.neighbor;
-    }
-  }
-  return kNoVertex;
-}
-
-}  // namespace
-
 std::optional<TuplePath> TuplePath::Weave(const TuplePath& base,
                                           const TuplePath& ptp,
                                           std::pmr::memory_resource* mr) {
-  MW_CHECK_EQ(ptp.size(), 2u);
-  // Identify the common key k and the new key j.
-  const std::vector<int> base_cols = base.TargetColumns();
-  int common_key = -1;
-  int new_key = -1;
-  for (const Projection& p : ptp.projections_) {
-    const bool in_base =
-        std::find(base_cols.begin(), base_cols.end(), p.target_column) !=
-        base_cols.end();
-    if (in_base) {
-      MW_CHECK_EQ(common_key, -1)
-          << "weave requires exactly one common projection key";
-      common_key = p.target_column;
-    } else {
-      new_key = p.target_column;
+  WeaveScratch scratch;
+  scratch.Reset(base);
+  return scratch.Weave(ptp, mr);
+}
+
+void WeaveScratch::Reset(const TuplePath& base) {
+  base_ = &base;
+  columns_ = 0;
+  for (const Projection& p : base.projections()) {
+    if (static_cast<unsigned>(p.target_column) < 64) {
+      columns_ |= uint64_t{1} << p.target_column;
     }
   }
-  MW_CHECK_NE(common_key, -1);
-  MW_CHECK_NE(new_key, -1);
+  internal::BuildCsrAdjacency(base.parents(), base.fks(), base.from_sides(),
+                              &offsets_, &edges_);
+}
 
-  const Projection* base_proj = base.FindProjection(common_key);
-  const Projection* ptp_common = ptp.FindProjection(common_key);
-  const Projection* ptp_new = ptp.FindProjection(new_key);
+void WeaveScratch::WalkChain(const TuplePath& ptp, VertexId from,
+                             VertexId to) {
+  const std::span<const VertexId> parents = ptp.parents();
+  on_chain_.assign(ptp.num_vertices(), 0);
+  chain_.clear();
+  for (VertexId v = from; v != kNoVertex; v = parents[static_cast<size_t>(v)]) {
+    chain_.push_back(v);
+    on_chain_[static_cast<size_t>(v)] = 1;
+  }
+  // Climb from `to` to the first vertex on from's root path: the lowest
+  // common ancestor. Cut `from`'s part there and append the descent.
+  tail_.clear();
+  VertexId v = to;
+  while (on_chain_[static_cast<size_t>(v)] == 0) {
+    tail_.push_back(v);
+    v = parents[static_cast<size_t>(v)];
+    MW_CHECK_NE(v, kNoVertex) << "vertices " << from << " and " << to
+                              << " are not connected";
+  }
+  chain_.resize(static_cast<size_t>(
+      std::find(chain_.begin(), chain_.end(), v) - chain_.begin() + 1));
+  chain_.insert(chain_.end(), tail_.rbegin(), tail_.rend());
+}
 
-  const VertexId fuse_base = base_proj->vertex;
+std::optional<TuplePath> WeaveScratch::Weave(const TuplePath& ptp,
+                                             std::pmr::memory_resource* mr) {
+  MW_CHECK_EQ(ptp.size(), 2u);
+  const TuplePath& base = *base_;
+  // Identify the common key k and the new key j.
+  const Projection* ptp_common = nullptr;
+  const Projection* ptp_new = nullptr;
+  for (const Projection& p : ptp.projections()) {
+    if (Covers(p.target_column)) {
+      MW_CHECK(ptp_common == nullptr)
+          << "weave requires exactly one common projection key";
+      ptp_common = &p;
+    } else {
+      ptp_new = &p;
+    }
+  }
+  MW_CHECK(ptp_common != nullptr);
+  MW_CHECK(ptp_new != nullptr);
+
+  const VertexId fuse_base =
+      base.FindProjection(ptp_common->target_column)->vertex;
   const VertexId fuse_ptp = ptp_common->vertex;
 
   // Line 4 of Algorithm 6: the fused vertices must be the same tuple.
-  if (base.vertex(fuse_base).relation != ptp.vertex(fuse_ptp).relation ||
+  if (base.relations()[static_cast<size_t>(fuse_base)] !=
+          ptp.relations()[static_cast<size_t>(fuse_ptp)] ||
       base.row(fuse_base) != ptp.row(fuse_ptp)) {
     return std::nullopt;
   }
 
   TuplePath result(base, mr != nullptr ? mr : std::pmr::get_default_resource());
-  const auto base_adj =
-      BuildAdjacency(result.parents(), result.fks(), result.from_sides());
-  const auto ptp_adj = BuildAdjacency(ptp.parents(), ptp.fks(),
-                                      ptp.from_sides());
-
   // The chain of ptp vertices from the fuse point to the new projection.
-  const std::vector<VertexId> chain =
-      SimplePath(ptp_adj, fuse_ptp, ptp_new->vertex);
+  WalkChain(ptp, fuse_ptp, ptp_new->vertex);
 
-  std::vector<bool> visited(result.num_vertices(), false);
-  visited[static_cast<size_t>(fuse_base)] = true;
+  visited_.assign(base.num_vertices(), 0);
+  visited_[static_cast<size_t>(fuse_base)] = 1;
 
-  VertexId cur = fuse_base;   // current merge position in `result`
+  const std::span<const VertexId> ptp_parents = ptp.parents();
+  VertexId cur = fuse_base;  // current merge position in `result`
   bool grafting = false;
-  for (size_t step = 1; step < chain.size(); ++step) {
-    const VertexId pv = chain[step];
-    // Edge metadata between chain[step-1] and pv, from pv's perspective.
-    storage::ForeignKeyId fk = -1;
-    bool pv_is_from = false;
-    for (const AdjEdge& e : ptp_adj[static_cast<size_t>(chain[step - 1])]) {
-      if (e.neighbor == pv) {
-        fk = e.fk;
-        pv_is_from = e.neighbor_is_from_side;
-        break;
-      }
-    }
-    MW_CHECK_NE(fk, -1);
+  for (size_t step = 1; step < chain_.size(); ++step) {
+    const VertexId prev = chain_[step - 1];
+    const VertexId pv = chain_[step];
+    // Edge metadata between prev and pv, from pv's perspective: stepping
+    // up uses prev's edge to its parent, stepping down pv's.
+    const bool up = ptp_parents[static_cast<size_t>(prev)] == pv;
+    const size_t edge_owner = static_cast<size_t>(up ? prev : pv);
+    const storage::ForeignKeyId fk = ptp.fks()[edge_owner];
+    const bool pv_is_from = (ptp.from_sides()[edge_owner] != 0) != up;
+    const storage::RelationId relation =
+        ptp.relations()[static_cast<size_t>(pv)];
+    const storage::RowId row = ptp.row(pv);
 
     if (!grafting) {
-      const VertexId merged = FindMergeTarget(
-          result, base_adj, cur, visited, ptp.vertex(pv).relation,
-          ptp.row(pv), fk, pv_is_from);
+      // Merge onto an unvisited base neighbor of `cur` matching (relation,
+      // row, fk, orientation), if any.
+      VertexId merged = kNoVertex;
+      const size_t first =
+          static_cast<size_t>(offsets_[static_cast<size_t>(cur)]);
+      const size_t last =
+          static_cast<size_t>(offsets_[static_cast<size_t>(cur) + 1]);
+      for (size_t k = first; k < last; ++k) {
+        const AdjEdge& e = edges_[k];
+        if (visited_[static_cast<size_t>(e.neighbor)] != 0) continue;
+        if (e.fk != fk || e.neighbor_is_from_side != pv_is_from) continue;
+        if (base.relations()[static_cast<size_t>(e.neighbor)] == relation &&
+            base.row(e.neighbor) == row) {
+          merged = e.neighbor;
+          break;
+        }
+      }
       if (merged != kNoVertex) {
         cur = merged;
-        visited[static_cast<size_t>(merged)] = true;
+        visited_[static_cast<size_t>(merged)] = 1;
         continue;
       }
       grafting = true;
     }
     // Graft pv as a new child of cur.
-    cur = result.AddVertex(ptp.vertex(pv).relation, ptp.row(pv), cur, fk,
-                           pv_is_from);
+    cur = result.AddVertex(relation, row, cur, fk, pv_is_from);
   }
 
   // The chain end now corresponds to `cur`; project the new key there.
-  const size_t ptp_new_index = static_cast<size_t>(
-      ptp_new - ptp.projections_.data());
-  result.AddProjection(new_key, cur, ptp_new->attribute,
-                       ptp.match_scores_[ptp_new_index]);
+  result.AddProjection(
+      ptp_new->target_column, cur, ptp_new->attribute,
+      ptp.match_score(static_cast<size_t>(ptp_new - ptp.projections().data())));
   return result;
 }
 

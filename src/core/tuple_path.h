@@ -10,6 +10,7 @@
 #ifndef MWEAVER_CORE_TUPLE_PATH_H_
 #define MWEAVER_CORE_TUPLE_PATH_H_
 
+#include <cstdint>
 #include <memory_resource>
 #include <optional>
 #include <span>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "core/mapping_path.h"
+#include "core/path_internal.h"
 #include "storage/database.h"
 
 namespace mweaver::core {
@@ -140,16 +142,17 @@ class TuplePath {
   /// debug assertions.
   bool IsConsistent(const storage::Database& db) const;
 
-  bool operator==(const TuplePath& other) const {
-    return Canonical() == other.Canonical();
-  }
+  /// \brief Equal iff the Canonical() forms are equal (compared through
+  /// the integer keys of core/canonical_key.h, without building strings).
+  bool operator==(const TuplePath& other) const;
 
   /// \brief Weaves pairwise path `ptp` onto `base` (Algorithm 6).
   ///
   /// Requires: ptp.size() == 2 and the projection-key sets intersect in
   /// exactly one column. Returns nullopt when the fuse vertices disagree on
   /// (relation, tuple). On success the result has size base.size() + 1 and
-  /// its node storage draws from `mr` (nullptr = heap).
+  /// its node storage draws from `mr` (nullptr = heap). Weaving many paths
+  /// onto one base goes through WeaveScratch instead.
   static std::optional<TuplePath> Weave(const TuplePath& base,
                                         const TuplePath& ptp,
                                         std::pmr::memory_resource* mr =
@@ -166,6 +169,42 @@ class TuplePath {
   std::pmr::vector<storage::RowId> rows_;
   std::pmr::vector<Projection> projections_;  // sorted by target column
   std::pmr::vector<double> match_scores_;     // parallel to projections_
+};
+
+/// \brief Reusable state for weaving many pairwise paths onto one base: the
+/// base's adjacency (CSR) and covered-column mask are built once per base,
+/// and the per-attempt buffers keep their capacity, so a weave attempt
+/// allocates only the woven path itself (on `mr`).
+class WeaveScratch {
+ public:
+  /// \brief Prepares to weave onto `base`, which must outlive the Weave
+  /// calls that follow.
+  void Reset(const TuplePath& base);
+
+  /// \brief True iff the base projects target column `column`.
+  bool Covers(int column) const {
+    return static_cast<unsigned>(column) < 64
+               ? ((columns_ >> column) & 1) != 0
+               : base_->FindProjection(column) != nullptr;
+  }
+
+  /// \brief TuplePath::Weave(base, ptp, mr) for the base given to Reset().
+  std::optional<TuplePath> Weave(const TuplePath& ptp,
+                                 std::pmr::memory_resource* mr);
+
+ private:
+  // Fills chain_ with the ptp vertices from `from` to `to` inclusive,
+  // walking parent pointers up to their lowest common ancestor.
+  void WalkChain(const TuplePath& ptp, VertexId from, VertexId to);
+
+  const TuplePath* base_ = nullptr;
+  uint64_t columns_ = 0;  // bit c: the base projects column c (c < 64)
+  std::vector<int32_t> offsets_;
+  std::vector<internal::AdjEdge> edges_;
+  std::vector<unsigned char> visited_;
+  std::vector<VertexId> chain_;
+  std::vector<VertexId> tail_;
+  std::vector<unsigned char> on_chain_;
 };
 
 }  // namespace mweaver::core

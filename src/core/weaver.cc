@@ -1,11 +1,10 @@
 #include "core/weaver.h"
 
 #include <algorithm>
-#include <set>
-#include <string>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
+#include "core/canonical_key.h"
 
 namespace mweaver::core {
 
@@ -23,11 +22,14 @@ std::vector<TuplePath> GenerateCompleteTuplePaths(const PairwiseTupleMap& ptpm,
   // Level 2: all pairwise tuple paths, deduplicated and cloned onto the
   // arena so every level (and the returned paths) shares one allocator.
   std::vector<TuplePath> level;
+  std::vector<KeyToken> key;
   {
-    std::set<std::string> seen;
-    for (const auto& [key, paths] : ptpm) {
+    CanonicalKeySet seen;
+    for (const auto& [columns, paths] : ptpm) {
       for (const TuplePath& tp : paths) {
-        if (seen.insert(tp.Canonical()).second) level.emplace_back(tp, arena);
+        key.clear();
+        AppendCanonicalKey(tp, &key);
+        if (seen.Insert(key).inserted) level.emplace_back(tp, arena);
       }
     }
   }
@@ -40,9 +42,10 @@ std::vector<TuplePath> GenerateCompleteTuplePaths(const PairwiseTupleMap& ptpm,
            ctx.OverMemoryBudget();
   };
 
+  WeaveScratch weaver;
   for (size_t n = 2; n < m && !level.empty(); ++n) {
     std::vector<TuplePath> next;
-    std::set<std::string> seen;
+    CanonicalKeySet seen;
     for (const TuplePath& base : level) {
       // Chaos site: a spurious cancellation landing mid-weave, exactly as a
       // client disconnect would — the run must still surface a classified,
@@ -58,23 +61,21 @@ std::vector<TuplePath> GenerateCompleteTuplePaths(const PairwiseTupleMap& ptpm,
         local.deadline_expired = true;
         break;
       }
-      const std::vector<int> base_cols = base.TargetColumns();
-      auto covers = [&](int col) {
-        return std::find(base_cols.begin(), base_cols.end(), col) !=
-               base_cols.end();
-      };
-      for (const auto& [key, pairwise_paths] : ptpm) {
+      weaver.Reset(base);
+      for (const auto& [columns, pairwise_paths] : ptpm) {
         // Weavable iff the pairwise keys intersect the base's in exactly
         // one column (Algorithm 5, line 8).
-        const int in_base = (covers(key.first) ? 1 : 0) +
-                            (covers(key.second) ? 1 : 0);
+        const int in_base = (weaver.Covers(columns.first) ? 1 : 0) +
+                            (weaver.Covers(columns.second) ? 1 : 0);
         if (in_base != 1) continue;
         for (const TuplePath& ptp : pairwise_paths) {
           ++local.weave_attempts;
-          std::optional<TuplePath> woven = TuplePath::Weave(base, ptp, arena);
+          std::optional<TuplePath> woven = weaver.Weave(ptp, arena);
           if (!woven.has_value()) continue;
           ++local.weave_successes;
-          if (seen.insert(woven->Canonical()).second) {
+          key.clear();
+          AppendCanonicalKey(*woven, &key);
+          if (seen.Insert(key).inserted) {
             next.push_back(std::move(*woven));
             ++local.total_tuple_paths;
             if (over_budget()) {

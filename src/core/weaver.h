@@ -4,7 +4,8 @@
 // Level n holds every distinct tuple path covering n target columns
 // (n = 2..m). Each level-(n+1) path is obtained by weaving a pairwise tuple
 // path sharing exactly one projection key onto a level-n base. Duplicates
-// arising from different weave orders are removed via canonical encodings.
+// arising from different weave orders are removed via canonical keys
+// (core/canonical_key.h).
 #ifndef MWEAVER_CORE_WEAVER_H_
 #define MWEAVER_CORE_WEAVER_H_
 
@@ -41,9 +42,9 @@ struct WeaveStats {
 /// paths themselves.
 ///
 /// Node storage for every intermediate and returned path lives on
-/// `ctx.arena()` — the weave is the allocation hot path, so the bump
-/// allocator replaces millions of small heap allocations with pointer
-/// increments. Returned paths are only valid until the context's next
+/// `ctx.arena()`. Dedup keys and the weave scratch live in buffers reused
+/// across attempts, so attempts touch the heap only when the dedup set
+/// grows. Returned paths are only valid until the context's next
 /// ResetForSearch(); ranking detaches the retained examples by plain copy.
 /// The deadline/cancel token is polled once per base path, and
 /// ctx.OverMemoryBudget() truncates the weave alongside

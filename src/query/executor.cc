@@ -25,10 +25,18 @@ using core::internal::BuildAdjacency;
 // sample: (attribute, sample) pairs.
 struct VertexConstraint {
   std::vector<std::pair<storage::AttributeId, std::string>> predicates;
-  // Sorted row ids satisfying every predicate; only meaningful when
-  // !predicates.empty().
+  // Sorted candidate row ids; only meaningful when `restricted`. Rows
+  // satisfying every predicate, possibly narrowed by NarrowBySemiJoins.
   std::vector<storage::RowId> rows;
+  // Set for vertices with predicates and for vertices narrowed by a
+  // constrained subtree.
+  bool restricted = false;
 };
+
+// Enumeration nodes an Execute visits before it narrows the candidate sets
+// by semi-joins and starts over: cheap queries never pay for the narrowing,
+// and a query that outgrows the budget wastes at most this many nodes.
+constexpr size_t kNarrowAfterNodes = 4096;
 
 // One step of the traversal order: assign `vertex`, whose candidate rows
 // come from joining `from` via `fk`.
@@ -41,6 +49,10 @@ struct Step {
   // and orientation as `vertex`: their rows must differ from `vertex`'s
   // (see the normal-form note in executor.h).
   std::vector<VertexId> distinct_from;
+  // `vertex`'s relation's index on vertex_attr, resolved once per plan
+  // rather than once per enumeration node: IndexOn takes the relation's
+  // lock, which every thread evaluating paths over it contends on.
+  const storage::HashIndex* index = nullptr;
 };
 
 bool SortedContains(const std::vector<storage::RowId>& sorted,
@@ -89,6 +101,7 @@ Result<Plan> BuildPlan(const text::FullTextEngine& engine,
   for (size_t v = 0; v < n; ++v) {
     VertexConstraint& c = plan.constraints[v];
     if (c.predicates.empty()) continue;
+    c.restricted = true;
     const storage::RelationId rel =
         mapping.vertex(static_cast<VertexId>(v)).relation;
     bool first = true;
@@ -145,7 +158,9 @@ Result<Plan> BuildPlan(const text::FullTextEngine& engine,
             e.neighbor_is_from_side ? fk.from_attribute : fk.to_attribute;
         const storage::AttributeId u_attr =
             e.neighbor_is_from_side ? fk.to_attribute : fk.from_attribute;
-        Step step{e.neighbor, u, v_attr, u_attr, {}};
+        Step step{e.neighbor, u, v_attr, u_attr, {},
+                  &db.relation(mapping.vertex(e.neighbor).relation)
+                       .IndexOn(v_attr)};
         // Normal form: the new vertex must differ from every already-
         // assigned neighbor of `u` reached via the same FK/orientation.
         for (const AdjEdge& other : adj[static_cast<size_t>(u)]) {
@@ -165,6 +180,55 @@ Result<Plan> BuildPlan(const text::FullTextEngine& engine,
   }
   MW_CHECK_EQ(plan.steps.size(), n) << "mapping path is not connected";
   return plan;
+}
+
+// The bottom-up semi-join pass of Yannakakis' algorithm over the plan's
+// join tree: walking the steps leaves first, each restricted vertex
+// restricts its parent to the rows that join at least one of its
+// candidates. A dropped row joins no candidate of some constrained subtree,
+// so it is part of no supporting assignment; the normal-form distinctness
+// is left to the enumeration, which can only leave extra rows here. The
+// narrowed sets therefore prune dead branches only, and the enumeration
+// emits the same tuple paths in the same order. Sets `provably_empty` when
+// a vertex is left without candidates.
+void NarrowBySemiJoins(const storage::Database& db, const MappingPath& mapping,
+                       Plan* plan) {
+  for (size_t i = plan->steps.size(); i-- > 1;) {
+    const Step& step = plan->steps[i];
+    const VertexConstraint& child =
+        plan->constraints[static_cast<size_t>(step.vertex)];
+    if (!child.restricted) continue;
+    const storage::Relation& child_rel =
+        db.relation(mapping.vertex(step.vertex).relation);
+    const storage::HashIndex& parent_index =
+        db.relation(mapping.vertex(step.from).relation)
+            .IndexOn(step.from_attr);
+    std::vector<storage::RowId> joined;
+    for (storage::RowId row : child.rows) {
+      const storage::Value& value = child_rel.at(row, step.vertex_attr);
+      if (value.is_null()) continue;
+      const std::vector<storage::RowId>& parents = parent_index.Lookup(value);
+      joined.insert(joined.end(), parents.begin(), parents.end());
+    }
+    std::sort(joined.begin(), joined.end());
+    joined.erase(std::unique(joined.begin(), joined.end()), joined.end());
+    VertexConstraint& parent =
+        plan->constraints[static_cast<size_t>(step.from)];
+    if (parent.restricted) {
+      std::vector<storage::RowId> both;
+      std::set_intersection(parent.rows.begin(), parent.rows.end(),
+                            joined.begin(), joined.end(),
+                            std::back_inserter(both));
+      parent.rows = std::move(both);
+    } else {
+      parent.rows = std::move(joined);
+      parent.restricted = true;
+    }
+    if (parent.rows.empty()) {
+      plan->provably_empty = true;
+      return;
+    }
+  }
 }
 
 }  // namespace
@@ -216,12 +280,22 @@ Result<std::vector<core::TuplePath>> PathExecutor::Execute(
   };
 
   bool done = false;
+  // Nodes left before the narrowing (0 = no budget). Unconstrained queries
+  // have nothing to narrow by.
+  size_t nodes_left = constraints[static_cast<size_t>(plan.start)].restricted
+                          ? kNarrowAfterNodes
+                          : 0;
+  bool out_of_nodes = false;
   std::function<void(size_t)> enumerate = [&](size_t step_index) {
     if (done) return;
     // One poll per enumeration node bounds the overrun to a single
     // assignment's fan-out; ShouldStop throttles the actual clock reads.
     if (ctx != nullptr && ctx->ShouldStop()) {
       done = true;
+      return;
+    }
+    if (nodes_left > 0 && --nodes_left == 0) {
+      out_of_nodes = done = true;
       return;
     }
     if (step_index == steps.size()) {
@@ -239,7 +313,7 @@ Result<std::vector<core::TuplePath>> PathExecutor::Execute(
 
     if (step.from == kNoVertex) {
       // Start vertex: iterate its constrained candidates, or every row.
-      if (!constraints[v].predicates.empty()) {
+      if (constraints[v].restricted) {
         for (storage::RowId row : constraints[v].rows) {
           assignment[v] = row;
           enumerate(step_index + 1);
@@ -262,9 +336,9 @@ Result<std::vector<core::TuplePath>> PathExecutor::Execute(
         assignment[static_cast<size_t>(step.from)], step.from_attr);
     if (join_value.is_null()) return;  // inner join: NULL never matches
     const std::vector<storage::RowId>& joined =
-        rel.IndexOn(step.vertex_attr).Lookup(join_value);
+        step.index->Lookup(join_value);
     for (storage::RowId row : joined) {
-      if (!constraints[v].predicates.empty() &&
+      if (constraints[v].restricted &&
           !SortedContains(constraints[v].rows, row)) {
         continue;
       }
@@ -282,6 +356,15 @@ Result<std::vector<core::TuplePath>> PathExecutor::Execute(
     }
   };
   enumerate(0);
+  if (out_of_nodes) {
+    // Narrow, then enumerate again from scratch, without a budget: the
+    // narrowed run emits the same paths in the same order.
+    NarrowBySemiJoins(db, mapping, &plan);
+    results.clear();
+    if (plan.provably_empty) return results;
+    done = false;
+    enumerate(0);
+  }
   return results;
 }
 

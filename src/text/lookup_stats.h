@@ -64,23 +64,21 @@ struct ProbeStats {
 /// \brief Thread-safe accumulator of ProbeStats.
 class ProbeCounters {
  public:
+  /// \brief Adds `s` field by field, skipping zero fields. Most probes are
+  /// memo hits with two non-zero fields, and every skipped add is one write
+  /// fewer to counters other threads also update (the engine-wide totals
+  /// are shared by every search).
   void Record(const ProbeStats& s) {
-    probes_.fetch_add(s.probes, std::memory_order_relaxed);
-    memo_hits_.fetch_add(s.memo_hits, std::memory_order_relaxed);
-    memo_misses_.fetch_add(s.memo_misses, std::memory_order_relaxed);
-    candidates_examined_.fetch_add(s.candidates_examined,
-                                   std::memory_order_relaxed);
-    scan_fallbacks_.fetch_add(s.scan_fallbacks, std::memory_order_relaxed);
-    all_rows_fallbacks_.fetch_add(s.all_rows_fallbacks,
-                                  std::memory_order_relaxed);
-    kernel_array_array_.fetch_add(s.kernel_array_array,
-                                  std::memory_order_relaxed);
-    kernel_array_bitmap_.fetch_add(s.kernel_array_bitmap,
-                                   std::memory_order_relaxed);
-    kernel_bitmap_bitmap_.fetch_add(s.kernel_bitmap_bitmap,
-                                    std::memory_order_relaxed);
-    kernel_scalar_fallback_.fetch_add(s.kernel_scalar_fallback,
-                                      std::memory_order_relaxed);
+    AddIfNonZero(probes_, s.probes);
+    AddIfNonZero(memo_hits_, s.memo_hits);
+    AddIfNonZero(memo_misses_, s.memo_misses);
+    AddIfNonZero(candidates_examined_, s.candidates_examined);
+    AddIfNonZero(scan_fallbacks_, s.scan_fallbacks);
+    AddIfNonZero(all_rows_fallbacks_, s.all_rows_fallbacks);
+    AddIfNonZero(kernel_array_array_, s.kernel_array_array);
+    AddIfNonZero(kernel_array_bitmap_, s.kernel_array_bitmap);
+    AddIfNonZero(kernel_bitmap_bitmap_, s.kernel_bitmap_bitmap);
+    AddIfNonZero(kernel_scalar_fallback_, s.kernel_scalar_fallback);
   }
 
   ProbeStats Snapshot() const {
@@ -117,6 +115,10 @@ class ProbeCounters {
   }
 
  private:
+  static void AddIfNonZero(std::atomic<uint64_t>& counter, uint64_t n) {
+    if (n != 0) counter.fetch_add(n, std::memory_order_relaxed);
+  }
+
   std::atomic<uint64_t> probes_{0};
   std::atomic<uint64_t> memo_hits_{0};
   std::atomic<uint64_t> memo_misses_{0};

@@ -12,8 +12,8 @@ const RowSet& EmptyRowSet() {
   return empty;
 }
 
-size_t ProbeCache::KeyHash::operator()(const Key& k) const {
-  size_t seed = std::hash<std::string>{}(k.sample);
+size_t ProbeCache::KeyHash::operator()(const KeyView& k) const {
+  size_t seed = std::hash<std::string_view>{}(k.sample);
   HashCombine(&seed, k.relation);
   HashCombine(&seed, k.attribute);
   HashCombine(&seed, k.policy_fp);
@@ -31,12 +31,19 @@ size_t ProbeCache::EntryBytes(const Key& key, const RowSet& rows) {
 RowSet ProbeCache::Lookup(storage::RelationId relation,
                           storage::AttributeId attribute, uint64_t policy_fp,
                           uint64_t version, std::string_view sample) {
-  const Key key{relation, attribute, policy_fp, version, std::string(sample)};
+  const KeyView key(relation, attribute, policy_fp, version, sample);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // refresh recency
-  return it->second.rows;
+  Entry& entry = it->second;
+  // An entry moved to the front at most entries/4 moves ago is still in the
+  // front quarter of the list; leaving it there spares a hit the list
+  // writes that every probing thread would otherwise contend on.
+  if (moves_ - entry.moved_at > entries_.size() / 4) {
+    lru_.splice(lru_.begin(), lru_, entry.lru_it);  // refresh recency
+    entry.moved_at = ++moves_;
+  }
+  return entry.rows;
 }
 
 void ProbeCache::Insert(storage::RelationId relation,
@@ -72,6 +79,7 @@ void ProbeCache::Insert(storage::RelationId relation,
   slot->second.rows = std::move(rows);
   slot->second.bytes = bytes;
   slot->second.lru_it = lru_.begin();
+  slot->second.moved_at = ++moves_;
   bytes_used_ += bytes;
   while (bytes_used_ > budget_bytes_ && lru_.size() > 1) {
     auto victim = entries_.find(*lru_.back());
@@ -81,8 +89,7 @@ void ProbeCache::Insert(storage::RelationId relation,
   }
 }
 
-void ProbeCache::EvictLocked(
-    std::unordered_map<Key, Entry, KeyHash>::iterator it) {
+void ProbeCache::EvictLocked(EntryMap::iterator it) {
   bytes_used_ -= it->second.bytes;
   lru_.erase(it->second.lru_it);
   entries_.erase(it);

@@ -53,7 +53,8 @@ class ProbeCache {
   ProbeCache& operator=(const ProbeCache&) = delete;
 
   /// \brief Returns the cached row set or nullptr; a hit refreshes LRU
-  /// recency. `version` is the relation's update epoch (see
+  /// recency unless the entry is already in the front quarter of the LRU
+  /// list. `version` is the relation's update epoch (see
   /// FullTextEngine::relation_version): an entry cached against an older
   /// version of the relation simply never matches again — stale results
   /// die by construction, no sweep required, while entries for untouched
@@ -78,28 +79,57 @@ class ProbeCache {
     uint64_t policy_fp;
     uint64_t version;
     std::string sample;
-
-    bool operator==(const Key& other) const = default;
   };
+  // Borrowed form of Key: Lookup probes the map with it, so a probe never
+  // copies its sample into a std::string.
+  struct KeyView {
+    storage::RelationId relation;
+    storage::AttributeId attribute;
+    uint64_t policy_fp;
+    uint64_t version;
+    std::string_view sample;
+
+    KeyView(storage::RelationId r, storage::AttributeId a, uint64_t fp,
+            uint64_t v, std::string_view s)
+        : relation(r), attribute(a), policy_fp(fp), version(v), sample(s) {}
+    KeyView(const Key& k)  // NOLINT(google-explicit-constructor)
+        : KeyView(k.relation, k.attribute, k.policy_fp, k.version,
+                  k.sample) {}
+    bool operator==(const KeyView& other) const = default;
+  };
+  // Transparent hash and equality: Key and KeyView hash and compare alike.
   struct KeyHash {
-    size_t operator()(const Key& k) const;
+    using is_transparent = void;
+    size_t operator()(const KeyView& k) const;
+  };
+  struct KeyEqual {
+    using is_transparent = void;
+    bool operator()(const KeyView& a, const KeyView& b) const {
+      return a == b;
+    }
   };
   struct Entry {
     RowSet rows;
     size_t bytes = 0;
     std::list<const Key*>::iterator lru_it;
+    // Value of moves_ when the entry last went to the LRU front. Every move
+    // pushes an entry back at most one place, so moves_ - moved_at bounds
+    // its distance from the front.
+    uint64_t moved_at = 0;
   };
+  using EntryMap = std::unordered_map<Key, Entry, KeyHash, KeyEqual>;
 
   static size_t EntryBytes(const Key& key, const RowSet& rows);
   // Drops `it`'s entry; caller holds mu_.
-  void EvictLocked(std::unordered_map<Key, Entry, KeyHash>::iterator it);
+  void EvictLocked(EntryMap::iterator it);
 
   const size_t budget_bytes_;
   mutable std::mutex mu_;
-  std::unordered_map<Key, Entry, KeyHash> entries_;
+  EntryMap entries_;
   // Most-recent first; points at the map's stable key storage.
   std::list<const Key*> lru_;
   size_t bytes_used_ = 0;
+  uint64_t moves_ = 0;  // inserts and recency refreshes so far
   uint64_t evictions_ = 0;
   uint64_t rejected_oversize_ = 0;
 };

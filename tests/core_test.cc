@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include "core/execution_context.h"
 #include "core/location_map.h"
@@ -16,6 +18,8 @@
 #include "core/session.h"
 #include "core/suggest.h"
 #include "core/weaver.h"
+#include "datagen/movie_gen.h"
+#include "datagen/workload.h"
 #include "graph/schema_graph.h"
 #include "query/executor.h"
 #include "test_util.h"
@@ -755,6 +759,128 @@ TEST_F(CoreTest, ArenaRecycledAcrossSearchesYieldsIdenticalResults) {
       EXPECT_EQ(a.example_tuple_paths[j].Canonical(),
                 b.example_tuple_paths[j].Canonical());
     }
+  }
+}
+
+// ------------------------------------------------------- Weave output lock --
+
+// One search of the seeded Yahoo corpus below: the weave's counters and a
+// fingerprint of the ordered candidate list.
+struct WeaveLock {
+  std::string task;
+  std::vector<size_t> tuple_paths_per_level;
+  size_t weave_attempts = 0;
+  size_t weave_successes = 0;
+  size_t candidates = 0;
+  uint64_t fingerprint = 0;
+};
+
+// FNV-1a over every candidate's mapping Canonical(), score and example
+// Canonical()s, in rank order.
+uint64_t CandidateFingerprint(const std::vector<CandidateMapping>& candidates) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  auto mix = [&hash](const std::string& s) {
+    for (unsigned char c : s) {
+      hash ^= c;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  char score[32];
+  for (const CandidateMapping& c : candidates) {
+    mix(c.mapping.Canonical());
+    std::snprintf(score, sizeof(score), "|%.12g|", c.score);
+    mix(score);
+    for (const TuplePath& tp : c.example_tuple_paths) mix(tp.Canonical() + ";");
+    mix("\n");
+  }
+  return hash;
+}
+
+// Two seeded first rows of each Yahoo task (m = 3..6, J = 2..4) over a
+// 60-movie source.
+std::vector<WeaveLock> RunWeaveLockCorpus() {
+  datagen::YahooMoviesConfig config;
+  config.num_movies = 60;
+  const Database db = datagen::MakeYahooMovies(config);
+  const text::FullTextEngine engine(&db, text::MatchPolicy::Substring());
+  const graph::SchemaGraph graph(&db);
+  const query::PathExecutor executor(&engine);
+  auto sets = datagen::MakeYahooTaskSets(db);
+  EXPECT_TRUE(sets.ok());
+  std::vector<WeaveLock> out;
+  if (!sets.ok()) return out;
+  Rng rng(1812);
+  for (const datagen::TaskSet& set : *sets) {
+    for (const datagen::TaskMapping& task : set.tasks) {
+      auto target = executor.EvaluateTarget(task.mapping, 50);
+      EXPECT_TRUE(target.ok() && !target->empty()) << task.name;
+      if (!target.ok() || target->empty()) continue;
+      for (int row = 0; row < 2; ++row) {
+        auto result = SampleSearch(engine, graph, rng.Pick(*target));
+        EXPECT_TRUE(result.ok()) << task.name;
+        if (!result.ok()) continue;
+        const WeaveStats& weave = result->stats.weave;
+        out.push_back(WeaveLock{task.name + "/" + std::to_string(row),
+                                weave.tuple_paths_per_level,
+                                weave.weave_attempts, weave.weave_successes,
+                                result->candidates.size(),
+                                CandidateFingerprint(result->candidates)});
+      }
+    }
+  }
+  return out;
+}
+
+// Golden counters and fingerprints of the corpus above. Weave dedup,
+// pairwise generation and ranking must reproduce them exactly: the same
+// distinct paths per level, the same attempts, the same ranked output.
+TEST(WeaveLockTest, SeededYahooTasksReproduceGolden) {
+  const std::vector<WeaveLock> golden = {
+    {"set1-J2-m3/0", {0, 0, 4, 2}, 10, 8, 2, 0x2366a1b31921bde6ULL},
+    {"set1-J2-m3/1", {0, 0, 5, 2}, 16, 16, 2, 0x3d82349e69bbff49ULL},
+    {"set1-J2-m4/0", {0, 0, 9, 7, 2}, 84, 84, 2, 0x077edddc5ea62a6eULL},
+    {"set1-J2-m4/1", {0, 0, 9, 9, 4}, 92, 67, 4, 0x7b2200a086345f9bULL},
+    {"set1-J2-m5/0", {0, 0, 12, 15, 9, 2}, 234, 200, 2, 0x0b9e1d7718a3eb69ULL},
+    {"set1-J2-m5/1", {0, 0, 25, 47, 48, 16}, 1476, 1094, 16,
+     0x0a567e31a636dd0bULL},
+    {"set1-J2-m6/0", {0, 0, 26, 48, 45, 21, 4}, 1872, 1364, 4,
+     0x2dd3868714c09a48ULL},
+    {"set1-J2-m6/1", {0, 0, 26, 48, 45, 21, 4}, 1872, 1364, 4,
+     0x2dd3868714c09a48ULL},
+    {"set2-J3-m3/0", {0, 0, 4, 1}, 6, 2, 1, 0xb8605f104db0559fULL},
+    {"set2-J3-m3/1", {0, 0, 5, 2}, 12, 4, 2, 0x2b6c6928eeb3b075ULL},
+    {"set2-J3-m4/0", {0, 0, 11, 13, 6}, 142, 94, 6, 0x29312f9d09db76bcULL},
+    {"set2-J3-m4/1", {0, 0, 9, 10, 4}, 94, 74, 4, 0x7d8dab10f8873d45ULL},
+    {"set2-J3-m5/0", {0, 0, 24, 42, 47, 26}, 1282, 724, 24,
+     0x7dccd426ab02d9e9ULL},
+    {"set2-J3-m5/1", {0, 0, 18, 23, 15, 4}, 527, 337, 3, 0x17706d5e3bee21cbULL},
+    {"set2-J3-m6/0", {0, 0, 29, 55, 66, 41, 10}, 2661, 1677, 8,
+     0x685d0fa493a32a59ULL},
+    {"set2-J3-m6/1", {0, 0, 25, 49, 57, 34, 8}, 2010, 1317, 6,
+     0xfc0df4ad2ace00d3ULL},
+    {"set3-J4-m3/0", {0, 0, 4, 3}, 10, 6, 3, 0xb69cca32bcc3f508ULL},
+    {"set3-J4-m3/1", {0, 0, 6, 4}, 16, 16, 4, 0xc20dd1dc02b02707ULL},
+    {"set3-J4-m4/0", {0, 0, 11, 12, 4}, 136, 136, 4, 0x318988f5bb8be9f4ULL},
+    {"set3-J4-m4/1", {0, 0, 7, 9, 6}, 58, 58, 6, 0x09e05a2b6b36a0aaULL},
+    {"set3-J4-m5/0", {0, 0, 9, 12, 8, 2}, 138, 119, 2, 0x4359c7b953034012ULL},
+    {"set3-J4-m5/1", {0, 0, 8, 9, 5, 1}, 96, 96, 1, 0x35169e3da6bbe785ULL},
+    {"set3-J4-m6/0", {0, 0, 29, 105, 280, 458, 336}, 9301, 6766, 304,
+     0xafc73a3bd784714dULL},
+    {"set3-J4-m6/1", {0, 0, 18, 36, 48, 32, 8}, 1182, 970, 8,
+     0xbc22a07cc1f62e98ULL},
+  };
+  const std::vector<WeaveLock> got = RunWeaveLockCorpus();
+  ASSERT_EQ(got.size(), golden.size());
+  for (size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(got[i].task, golden[i].task);
+    EXPECT_EQ(got[i].tuple_paths_per_level, golden[i].tuple_paths_per_level)
+        << golden[i].task;
+    EXPECT_EQ(got[i].weave_attempts, golden[i].weave_attempts)
+        << golden[i].task;
+    EXPECT_EQ(got[i].weave_successes, golden[i].weave_successes)
+        << golden[i].task;
+    EXPECT_EQ(got[i].candidates, golden[i].candidates) << golden[i].task;
+    EXPECT_EQ(got[i].fingerprint, golden[i].fingerprint) << golden[i].task;
   }
 }
 

@@ -3,8 +3,10 @@
 
 #include <deque>
 #include <map>
+#include <type_traits>
 
 #include "common/random.h"
+#include "core/canonical_key.h"
 #include "core/mapping_path.h"
 #include "core/tuple_path.h"
 #include "test_util.h"
@@ -397,6 +399,246 @@ TEST(CanonicalFuzzTest, DistinguishesMutations) {
     if (changed.Canonical() != tree.path.Canonical()) ++distinguished;
   }
   EXPECT_EQ(distinguished, 100u);
+}
+
+// ------------------------------------------------ Compact canonical keys --
+
+namespace {
+
+// A labeled tree held as an edge list, so it can be perturbed and rebuilt
+// as a MappingPath or TuplePath under any rooting.
+struct LabeledTree {
+  struct Vertex {
+    storage::RelationId relation;
+    storage::RowId row;
+  };
+  struct Edge {
+    VertexId a;
+    VertexId b;
+    storage::ForeignKeyId fk;
+    bool b_is_from;
+  };
+  std::vector<Vertex> vertices;
+  std::vector<Edge> edges;
+  std::vector<Projection> projections;
+};
+
+// Small label alphabets so distinct random trees are often isomorphic.
+LabeledTree MakeLabeledTree(Rng* rng, size_t n, bool chain) {
+  LabeledTree t;
+  for (size_t i = 0; i < n; ++i) {
+    t.vertices.push_back({static_cast<storage::RelationId>(
+                              rng->UniformInt(0, 1)),
+                          rng->UniformInt(0, 2)});
+    if (i == 0) continue;
+    const VertexId parent =
+        chain ? static_cast<VertexId>(i - 1)
+              : static_cast<VertexId>(
+                    rng->UniformInt(0, static_cast<int64_t>(i) - 1));
+    t.edges.push_back({parent, static_cast<VertexId>(i),
+                       static_cast<storage::ForeignKeyId>(
+                           rng->UniformInt(0, 1)),
+                       rng->Bernoulli(0.5)});
+  }
+  int column = 0;
+  for (size_t v = 0; v < n; ++v) {
+    if (v == 0 || rng->Bernoulli(0.4)) {
+      t.projections.push_back({column++, static_cast<VertexId>(v),
+                               static_cast<storage::AttributeId>(
+                                   rng->UniformInt(0, 1))});
+    }
+  }
+  return t;
+}
+
+// BFS order of the tree from `root`: (vertex, parent, fk, is_from).
+std::vector<LabeledTree::Edge> RootedOrder(const LabeledTree& t,
+                                           VertexId root) {
+  std::vector<std::vector<LabeledTree::Edge>> adj(t.vertices.size());
+  for (const LabeledTree::Edge& e : t.edges) {
+    adj[static_cast<size_t>(e.a)].push_back(e);
+    adj[static_cast<size_t>(e.b)].push_back({e.b, e.a, e.fk, !e.b_is_from});
+  }
+  std::vector<LabeledTree::Edge> order{{kNoVertex, root, -1, false}};
+  std::vector<bool> seen(t.vertices.size(), false);
+  seen[static_cast<size_t>(root)] = true;
+  for (size_t i = 0; i < order.size(); ++i) {
+    for (const LabeledTree::Edge& e : adj[static_cast<size_t>(order[i].b)]) {
+      if (seen[static_cast<size_t>(e.b)]) continue;
+      seen[static_cast<size_t>(e.b)] = true;
+      order.push_back(e);
+    }
+  }
+  return order;
+}
+
+template <typename Path, typename Single, typename Add>
+Path BuildRooted(const LabeledTree& t, VertexId root, Single single,
+                 Add add) {
+  const std::vector<LabeledTree::Edge> order = RootedOrder(t, root);
+  std::vector<VertexId> new_id(t.vertices.size(), kNoVertex);
+  Path path = single(t.vertices[static_cast<size_t>(root)]);
+  new_id[static_cast<size_t>(root)] = 0;
+  for (size_t i = 1; i < order.size(); ++i) {
+    const LabeledTree::Edge& e = order[i];
+    new_id[static_cast<size_t>(e.b)] =
+        add(path, t.vertices[static_cast<size_t>(e.b)],
+            new_id[static_cast<size_t>(e.a)], e.fk, e.b_is_from);
+  }
+  for (const Projection& p : t.projections) {
+    if constexpr (std::is_same_v<Path, TuplePath>) {
+      path.AddProjection(p.target_column, new_id[static_cast<size_t>(p.vertex)],
+                         p.attribute, 1.0);
+    } else {
+      path.AddProjection(p.target_column, new_id[static_cast<size_t>(p.vertex)],
+                         p.attribute);
+    }
+  }
+  return path;
+}
+
+MappingPath ToMappingPath(const LabeledTree& t, VertexId root) {
+  return BuildRooted<MappingPath>(
+      t, root,
+      [](const LabeledTree::Vertex& v) {
+        return MappingPath::SingleVertex(v.relation);
+      },
+      [](MappingPath& p, const LabeledTree::Vertex& v, VertexId parent,
+         storage::ForeignKeyId fk, bool is_from) {
+        return p.AddVertex(v.relation, parent, fk, is_from);
+      });
+}
+
+TuplePath ToTuplePath(const LabeledTree& t, VertexId root) {
+  return BuildRooted<TuplePath>(
+      t, root,
+      [](const LabeledTree::Vertex& v) {
+        return TuplePath::SingleVertex(v.relation, v.row);
+      },
+      [](TuplePath& p, const LabeledTree::Vertex& v, VertexId parent,
+         storage::ForeignKeyId fk, bool is_from) {
+        return p.AddVertex(v.relation, v.row, parent, fk, is_from);
+      });
+}
+
+// One perturbation of a single label: a row id, an edge's fk, an edge's
+// orientation (both sides of one relation, as on a self-FK), or a
+// projection's attribute or vertex.
+LabeledTree Perturb(const LabeledTree& t, Rng* rng) {
+  LabeledTree out = t;
+  const int kind = static_cast<int>(rng->UniformInt(0, 4));
+  if (kind == 0) {
+    out.vertices[rng->Index(out.vertices.size())].row ^= 1;
+  } else if (kind <= 2 && !out.edges.empty()) {
+    LabeledTree::Edge& e = out.edges[rng->Index(out.edges.size())];
+    if (kind == 1) {
+      e.fk ^= 1;
+    } else {
+      out.vertices[static_cast<size_t>(e.b)].relation =
+          out.vertices[static_cast<size_t>(e.a)].relation;
+      e.b_is_from = !e.b_is_from;
+    }
+  } else {
+    Projection& p = out.projections[rng->Index(out.projections.size())];
+    if (kind == 3) {
+      p.attribute ^= 1;
+    } else {
+      p.vertex = static_cast<VertexId>(rng->Index(out.vertices.size()));
+    }
+  }
+  return out;
+}
+
+template <typename Path>
+std::vector<KeyToken> KeyOf(const Path& path) {
+  std::vector<KeyToken> key;
+  AppendCanonicalKey(path, &key);
+  return key;
+}
+
+// Asserts key equality <=> Canonical() equality over every pair of `paths`;
+// returns how many unequal pairs were isomorphic (equal strings).
+template <typename Path>
+size_t CheckKeysMatchStrings(const std::vector<Path>& paths) {
+  std::vector<std::string> strings;
+  std::vector<std::vector<KeyToken>> keys;
+  for (const Path& p : paths) {
+    strings.push_back(p.Canonical());
+    keys.push_back(KeyOf(p));
+  }
+  size_t equal_pairs = 0;
+  for (size_t i = 0; i < paths.size(); ++i) {
+    for (size_t j = i + 1; j < paths.size(); ++j) {
+      const bool same_string = strings[i] == strings[j];
+      EXPECT_EQ(keys[i] == keys[j], same_string)
+          << strings[i] << " vs " << strings[j];
+      // operator== rebuilds both keys; nearby pairs (same tree, its
+      // rerootings and perturbations) are enough for it.
+      if (j - i <= 8) {
+        EXPECT_EQ(paths[i] == paths[j], same_string);
+      }
+      if (same_string) ++equal_pairs;
+    }
+  }
+  return equal_pairs;
+}
+
+}  // namespace
+
+TEST(CanonicalKeyTest, EqualExactlyWhenCanonicalStringsEqual) {
+  Rng rng(4512);
+  std::vector<MappingPath> mappings;
+  std::vector<TuplePath> tuples;
+  for (int round = 0; round < 120; ++round) {
+    // Sizes 1..7 cover 1- and 2-vertex trees; chains of even length and
+    // random trees of odd diameter are bicentral.
+    const size_t n = static_cast<size_t>(rng.UniformInt(1, 7));
+    const LabeledTree tree = MakeLabeledTree(&rng, n, round % 3 == 0);
+    std::vector<LabeledTree> variants{tree};
+    for (int k = 0; k < 3; ++k) variants.push_back(Perturb(tree, &rng));
+    for (const LabeledTree& t : variants) {
+      for (size_t root = 0; root < t.vertices.size(); ++root) {
+        mappings.push_back(ToMappingPath(t, static_cast<VertexId>(root)));
+        tuples.push_back(ToTuplePath(t, static_cast<VertexId>(root)));
+      }
+    }
+  }
+  // Rerootings alone give many equal pairs; the small alphabets also make
+  // independently drawn trees isomorphic.
+  EXPECT_GT(CheckKeysMatchStrings(mappings), mappings.size());
+  EXPECT_GT(CheckKeysMatchStrings(tuples), tuples.size());
+}
+
+TEST(CanonicalKeyTest, MappingKeyOfTuplePathMatchesExtractedMapping) {
+  Rng rng(99);
+  for (int round = 0; round < 100; ++round) {
+    const LabeledTree tree = MakeLabeledTree(
+        &rng, static_cast<size_t>(rng.UniformInt(1, 7)), round % 2 == 0);
+    const TuplePath tp = ToTuplePath(
+        tree, static_cast<VertexId>(rng.Index(tree.vertices.size())));
+    std::vector<KeyToken> from_tuple;
+    AppendMappingKey(tp, &from_tuple);
+    EXPECT_EQ(from_tuple, KeyOf(tp.ExtractMappingPath()));
+  }
+}
+
+TEST(CanonicalKeyTest, KeySetDedupsByFullSequence) {
+  CanonicalKeySet set;
+  const std::vector<KeyToken> a{1, 2, 3};
+  const std::vector<KeyToken> b{1, 2, 3, 0};
+  EXPECT_TRUE(set.Insert(a).inserted);
+  EXPECT_TRUE(set.Insert(b).inserted);
+  EXPECT_TRUE(set.Insert({}).inserted);
+  const CanonicalKeySet::InsertResult again = set.Insert(a);
+  EXPECT_FALSE(again.inserted);
+  EXPECT_EQ(again.id, 0u);
+  // Growth rehashes; ids stay dense and stable.
+  for (KeyToken i = 0; i < 1000; ++i) {
+    EXPECT_EQ(set.Insert(std::vector<KeyToken>{i, -i}).id,
+              static_cast<uint32_t>(3 + i));
+  }
+  EXPECT_EQ(set.Insert(b).id, 1u);
+  EXPECT_EQ(set.size(), 1003u);
 }
 
 }  // namespace

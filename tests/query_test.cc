@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <functional>
 #include <set>
 
@@ -281,6 +282,170 @@ TEST_F(ExecutorTest, MatchesBruteForceOnRandomChains) {
     for (const TuplePath& tp : *actual) got.insert(tp.Canonical());
     EXPECT_EQ(got, expected) << "case " << i;
     EXPECT_EQ(got.size(), actual->size()) << "duplicates in case " << i;
+  }
+}
+
+// ------------------------------------------------------ semi-join narrowing --
+
+// Locations Hub (lid 0) and Elsewhere (lid 1); movie m has title titles[m]
+// and one filmedin link, to location lids[m]; links in movie order.
+Database MakeHubDb(const std::vector<std::string>& titles,
+                   const std::vector<int64_t>& lids) {
+  using ::mweaver::testing::AddRow;
+  using ::mweaver::testing::I;
+  using ::mweaver::testing::IdAttr;
+  using ::mweaver::testing::S;
+  using ::mweaver::testing::StrAttr;
+  using storage::RelationSchema;
+  Database db("hub");
+  db.AddRelation(RelationSchema("location", {IdAttr("lid"), StrAttr("name")}))
+      .ValueOrDie();
+  db.AddRelation(RelationSchema("movie", {IdAttr("mid"), StrAttr("title")}))
+      .ValueOrDie();
+  db.AddRelation(RelationSchema("filmedin", {IdAttr("mid"), IdAttr("lid")}))
+      .ValueOrDie();
+  db.AddForeignKey("filmedin", "mid", "movie", "mid").ValueOrDie();
+  db.AddForeignKey("filmedin", "lid", "location", "lid").ValueOrDie();
+  AddRow(&db, "location", {I(0), S("Hub")});
+  AddRow(&db, "location", {I(1), S("Elsewhere")});
+  for (size_t m = 0; m < titles.size(); ++m) {
+    const auto mid = static_cast<int64_t>(m);
+    AddRow(&db, "movie", {I(mid), S(titles[m])});
+    AddRow(&db, "filmedin", {I(mid), I(lids[m])});
+  }
+  return db;
+}
+
+// Movies Alpha, Beta and Gamma, then fillers; every movie but Gamma was
+// filmed at the hub.
+Database MakeNamedHubDb(size_t movies) {
+  std::vector<std::string> titles = {"Alpha", "Beta", "Gamma"};
+  std::vector<int64_t> lids = {0, 0, 1};
+  while (titles.size() < movies) {
+    titles.push_back("Filler " + std::to_string(titles.size()));
+    lids.push_back(0);
+  }
+  return MakeHubDb(titles, lids);
+}
+
+// location[0:name] with `branches` filmedin--movie branches, branch b's
+// movie title projected as column b + 1. The start vertex is the location,
+// so the plan assigns every filmedin link before it reaches a movie
+// constraint: un-narrowed, the enumeration visits about
+// links^branches nodes, far past the budget that triggers the narrowing.
+MappingPath HubStar(size_t branches) {
+  constexpr storage::RelationId kLocation = 0, kHubMovie = 1, kFilmedin = 2;
+  MappingPath p = MappingPath::SingleVertex(kLocation);
+  p.AddProjection(0, 0, 1);
+  for (size_t b = 0; b < branches; ++b) {
+    const VertexId link = p.AddVertex(kFilmedin, 0, 1, true);
+    const VertexId movie = p.AddVertex(kHubMovie, link, 0, false);
+    p.AddProjection(static_cast<int>(b) + 1, movie, 1);
+  }
+  return p;
+}
+
+TEST(SemiJoinNarrowingTest, NarrowedRunEmitsTheSamePathsInOrder) {
+  const Database db = MakeNamedHubDb(64);
+  const text::FullTextEngine engine(&db, text::MatchPolicy::Substring());
+  const PathExecutor executor(&engine);
+  const SampleMap samples{{0, "Hub"}, {1, "Alpha"}, {2, "Beta"}};
+  // Every hub link but Alpha's and Beta's completes branch 3.
+  auto all = executor.Execute(HubStar(3), samples);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  ASSERT_EQ(all->size(), 64u - 3u);
+  std::set<std::string> distinct;
+  for (const TuplePath& tp : *all) distinct.insert(tp.Canonical());
+  EXPECT_EQ(distinct.size(), all->size());
+  // Alpha's and Beta's links come first, so the first five paths are found
+  // within the node budget, without the narrowing; the narrowed full run
+  // must start with the same five.
+  ExecOptions capped;
+  capped.max_results = 5;
+  auto first = executor.Execute(HubStar(3), samples, capped);
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first->size(), 5u);
+  for (size_t i = 0; i < first->size(); ++i) {
+    EXPECT_EQ((*first)[i].Canonical(), (*all)[i].Canonical()) << i;
+  }
+}
+
+TEST(SemiJoinNarrowingTest, DisprovesSupportWithoutEnumeratingLinks) {
+  // Four branches over ~300 hub links: an un-narrowed enumeration would
+  // visit ~10^9 nodes and run into the deadline.
+  const Database db = MakeNamedHubDb(300);
+  const text::FullTextEngine engine(&db, text::MatchPolicy::Substring());
+  const PathExecutor executor(&engine);
+  const std::vector<SampleMap> unsupported = {
+      // Gamma was not filmed at the hub.
+      {{0, "Hub"}, {1, "Gamma"}},
+      // Alpha has one link, but two branches need distinct links.
+      {{0, "Hub"}, {1, "Alpha"}, {2, "Alpha"}},
+  };
+  for (const SampleMap& samples : unsupported) {
+    core::ExecutionContext ctx;
+    ctx.set_deadline(core::SearchClock::now() + std::chrono::seconds(20));
+    auto supported = executor.HasSupport(HubStar(4), samples, &ctx);
+    ASSERT_TRUE(supported.ok());
+    EXPECT_FALSE(*supported) << samples.at(1);
+    EXPECT_FALSE(ctx.stop_requested()) << samples.at(1);
+  }
+  core::ExecutionContext ctx;
+  ctx.set_deadline(core::SearchClock::now() + std::chrono::seconds(20));
+  EXPECT_TRUE(*executor.HasSupport(
+      HubStar(4), {{0, "Hub"}, {3, "Alpha"}, {4, "Beta"}}, &ctx));
+}
+
+TEST(SemiJoinNarrowingTest, MatchesNestedLoopsOnRandomHubs) {
+  // Titles over a three-word alphabet, so one sample matches many movies;
+  // the reference loops over every triple of distinct links in row order,
+  // the order the executor emits its paths in.
+  const std::vector<std::string> words = {"red", "blue", "green"};
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    std::vector<std::string> titles;
+    std::vector<int64_t> lids;
+    for (size_t m = 0; m < 40; ++m) {
+      titles.push_back(rng.Pick(words) + " " + rng.Pick(words));
+      lids.push_back(rng.Bernoulli(0.8) ? 0 : 1);
+    }
+    const Database db = MakeHubDb(titles, lids);
+    const text::FullTextEngine engine(&db, text::MatchPolicy::Substring());
+    const PathExecutor executor(&engine);
+    SampleMap samples{{0, "Hub"}};
+    for (int column = 1; column <= 3; ++column) {
+      const size_t pick = rng.Index(words.size() + 2);
+      if (pick < words.size()) {
+        samples[column] = words[pick];
+      } else if (pick == words.size()) {
+        samples[column] = words[0] + " " + words[1];
+      }
+    }
+    const text::AttributeRef title{1, 1};
+    std::vector<std::vector<storage::RowId>> expected;
+    const auto n = static_cast<storage::RowId>(titles.size());
+    auto fits = [&](int column, storage::RowId link) {
+      if (lids[static_cast<size_t>(link)] != 0) return false;
+      auto it = samples.find(column);
+      return it == samples.end() || engine.RowContains(title, link, it->second);
+    };
+    for (storage::RowId a = 0; a < n; ++a) {
+      for (storage::RowId b = 0; b < n; ++b) {
+        for (storage::RowId c = 0; c < n; ++c) {
+          if (a == b || a == c || b == c) continue;
+          if (fits(1, a) && fits(2, b) && fits(3, c)) {
+            expected.push_back({a, b, c});
+          }
+        }
+      }
+    }
+    auto paths = executor.Execute(HubStar(3), samples);
+    ASSERT_TRUE(paths.ok()) << paths.status().ToString();
+    std::vector<std::vector<storage::RowId>> got;
+    for (const TuplePath& tp : *paths) {
+      got.push_back({tp.row(1), tp.row(3), tp.row(5)});
+    }
+    EXPECT_EQ(got, expected) << "seed " << seed;
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string_view>
 
 #include "common/random.h"
 #include "common/string_util.h"
@@ -358,6 +359,40 @@ TEST(InvertedIndexTest, ProbeStatsCounters) {
   EXPECT_EQ(stats.scan_fallbacks, 1u);
 }
 
+TEST(ProbeCountersTest, SparseRecordsSumFieldWise) {
+  std::vector<ProbeStats> records(4);
+  records[0].probes = 1;
+  records[0].memo_hits = 1;
+  records[1].probes = 1;
+  records[1].memo_misses = 1;
+  records[1].candidates_examined = 12;
+  records[1].kernel_array_bitmap = 3;
+  records[2].scan_fallbacks = 2;
+  records[2].kernel_scalar_fallback = 5;
+  records[3].all_rows_fallbacks = 1;
+  records[3].kernel_array_array = 4;
+  records[3].kernel_bitmap_bitmap = 6;
+  ProbeCounters counters;
+  ProbeStats want;
+  for (const ProbeStats& r : records) {
+    counters.Record(r);
+    want.Add(r);
+  }
+  const ProbeStats got = counters.Snapshot();
+  EXPECT_EQ(got.probes, want.probes);
+  EXPECT_EQ(got.memo_hits, want.memo_hits);
+  EXPECT_EQ(got.memo_misses, want.memo_misses);
+  EXPECT_EQ(got.candidates_examined, want.candidates_examined);
+  EXPECT_EQ(got.scan_fallbacks, want.scan_fallbacks);
+  EXPECT_EQ(got.all_rows_fallbacks, want.all_rows_fallbacks);
+  EXPECT_EQ(got.kernel_array_array, want.kernel_array_array);
+  EXPECT_EQ(got.kernel_array_bitmap, want.kernel_array_bitmap);
+  EXPECT_EQ(got.kernel_bitmap_bitmap, want.kernel_bitmap_bitmap);
+  EXPECT_EQ(got.kernel_scalar_fallback, want.kernel_scalar_fallback);
+  EXPECT_EQ(got.probes, 2u);
+  EXPECT_EQ(got.kernel_bitmap_bitmap, 6u);
+}
+
 // ------------------------------------------------------------ ProbeCache --
 
 RowSet MakeRows(std::vector<storage::RowId> rows) {
@@ -399,6 +434,19 @@ TEST(ProbeCacheTest, ByteBudgetEvictsLeastRecentlyUsed) {
   EXPECT_LE(stats.bytes_used, 760u);
 }
 
+TEST(ProbeCacheTest, EntryHitBetweenInsertsSurvivesChurn) {
+  // Room for four 178-byte entries (see above). A hit leaves an entry in
+  // the front quarter where it is, but refreshes it before it can age out.
+  ProbeCache cache(760);
+  const RowSet rows = MakeRows({1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
+  cache.Insert(0, 0, 1, 0, "hh", rows);
+  for (int i = 0; i < 40; ++i) {
+    cache.Insert(0, 0, 1, 0, std::to_string(10 + i), rows);
+    ASSERT_NE(cache.Lookup(0, 0, 1, 0, "hh"), nullptr) << i;
+  }
+  EXPECT_GE(cache.stats().evictions, 30u);
+}
+
 TEST(ProbeCacheTest, HandleSurvivesEviction) {
   ProbeCache cache(760);
   cache.Insert(0, 0, 1, 0, "aa", MakeRows({7, 8}));
@@ -420,6 +468,22 @@ TEST(ProbeCacheTest, RejectsOversizedEntries) {
   EXPECT_EQ(cache.Lookup(0, 0, 1, 0, "big"), nullptr);
   EXPECT_EQ(cache.stats().rejected_oversize, 1u);
   EXPECT_EQ(cache.stats().entries, 0u);
+}
+
+TEST(ProbeCacheTest, LongSampleHitsThroughBorrowedView) {
+  // Longer than any small-string buffer, so an owning key would allocate.
+  const std::string sample = "the lord of the rings: the two towers";
+  ProbeCache cache(1 << 20);
+  cache.Insert(2, 3, 1, 7, sample, MakeRows({4, 9}));
+  // Probe with a view into a larger buffer: no terminator, no copy.
+  const std::string buffer = "<<" + sample + ">>";
+  const std::string_view view(buffer.data() + 2, sample.size());
+  const RowSet hit = cache.Lookup(2, 3, 1, 7, view);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, (std::vector<storage::RowId>{4, 9}));
+  EXPECT_EQ(cache.Lookup(2, 3, 1, 7, view.substr(0, view.size() - 1)),
+            nullptr);
+  EXPECT_EQ(cache.Lookup(2, 3, 1, 8, view), nullptr);  // newer version
 }
 
 TEST(ProbeCacheTest, ZeroBudgetDisablesCaching) {
