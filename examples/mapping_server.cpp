@@ -12,16 +12,19 @@
 // --shards=N publishes every tenant as N row-hash shards
 // (catalog::CatalogOptions::shard_count); searches fan out across the
 // shard bundle and return byte-identical results for any N.
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <map>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "common/failpoint.h"
 #include "service/mapping_service.h"
 #include "storage/database.h"
 
@@ -185,13 +188,59 @@ int main(int argc, char** argv) {
     std::cerr << "expected every user to converge\n";
     return 1;
   }
-  // Every user types the identical first row, so whenever a tenant hosts
-  // at least two users, all but that tenant's first search should be
-  // answered from the result cache (keys are tenant-scoped: users on
-  // DIFFERENT tenants never share entries).
-  if (num_users > num_tenants && metrics.cache_hits == 0) {
-    std::cerr << "expected cache hits on repeated first rows\n";
-    return 1;
+  // Every user types the identical first row, and cache keys are
+  // tenant-scoped, so a tenant's users share one key and users on
+  // different tenants share none. The cache holds completed results only:
+  // identical misses in flight at once each run TPW (no coalescing). A
+  // first-row search holds its service worker from lookup to insert (its
+  // ParallelFor fan-out runs on ThreadPool::Shared, never on the service
+  // pool), so at most num_workers lookups can precede a key's first
+  // insert. For a tenant with U users that gives
+  //   misses >= 1                      (its first search always misses)
+  //   hits + misses == U               (one first-row search per session)
+  //   hits >= max(0, U - num_workers)
+  // provided no request was truncated (truncated results are not cached),
+  // no search was retried (a retry looks the key up again), the
+  // service.result_cache.insert failpoint never fired (it drops inserts)
+  // and no LRU eviction can drop a key (each tenant hosting users needs
+  // one entry). Otherwise the bound does not apply and is only reported.
+  // A cache_capacity of 0 evicts nothing but stores nothing either: that
+  // is a disabled cache, which the bound rightly fails.
+  const Failpoint* dropped_inserts =
+      FailpointRegistry::Global().Find("service.result_cache.insert");
+  const char* bound_void =
+      metrics.requests_truncated != 0 ? "a request was truncated"
+      : metrics.search_retries != 0   ? "a search was retried"
+      : dropped_inserts != nullptr && dropped_inserts->stats().fires != 0
+          ? "service.result_cache.insert dropped an insert"
+      : options.cache_capacity != 0 &&
+              std::min(num_users, num_tenants) > options.cache_capacity
+          ? "more tenants host users than cache_capacity holds"
+          : nullptr;
+  if (bound_void != nullptr) {
+    std::cout << "cache-hit bound does not apply: " << bound_void << "\n";
+    return 0;
   }
-  return 0;
+  const std::map<std::string, service::TenantMetricsSnapshot> per_tenant =
+      svc.PerTenantMetrics();
+  bool bound_held = true;
+  for (size_t t = 0; t < num_tenants; ++t) {
+    const uint64_t tenant_users =
+        num_users / num_tenants + (t < num_users % num_tenants ? 1 : 0);
+    if (tenant_users == 0) continue;
+    const uint64_t hits = per_tenant.at(tenants[t]).cache_hits;
+    const uint64_t misses = per_tenant.at(tenants[t]).cache_misses;
+    const uint64_t min_hits = tenant_users > options.num_workers
+                                  ? tenant_users - options.num_workers
+                                  : 0;
+    std::cout << "cache bound:      tenant " << tenants[t] << ": " << hits
+              << " hits / " << misses << " misses for " << tenant_users
+              << " users (need >= " << min_hits << " hits, >= 1 miss)\n";
+    if (misses < 1 || hits + misses != tenant_users || hits < min_hits) {
+      std::cerr << "tenant " << tenants[t]
+                << " broke the cache-hit bound on repeated first rows\n";
+      bound_held = false;
+    }
+  }
+  return bound_held ? 0 : 1;
 }

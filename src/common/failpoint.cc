@@ -107,7 +107,9 @@ FailpointRegistry& FailpointRegistry::Global() {
     if (const char* env = std::getenv("MWEAVER_FAILPOINTS")) {
       const Status status = r->ConfigureFromString(env);
       if (!status.ok()) {
-        MW_LOG(Warning) << "ignoring malformed MWEAVER_FAILPOINTS: "
+        MW_LOG(Warning) << "MWEAVER_FAILPOINTS: ignoring the entries from "
+                           "the malformed one onward (earlier entries stay "
+                           "armed): "
                         << status.ToString();
       }
     }
