@@ -202,10 +202,10 @@ int main(int argc, char** argv) {
   // provided no request was truncated (truncated results are not cached),
   // no search was retried (a retry looks the key up again), the
   // service.result_cache.insert failpoint never fired (it drops inserts)
-  // and no LRU eviction can drop a key (each tenant hosting users needs
-  // one entry). Otherwise the bound does not apply and is only reported.
-  // A cache_capacity of 0 evicts nothing but stores nothing either: that
-  // is a disabled cache, which the bound rightly fails.
+  // and the LRU evicted no entry (an evicted key misses again). Otherwise
+  // the bound does not apply and is only reported. A cache_capacity of 0
+  // evicts nothing but stores nothing either: that is a disabled cache,
+  // which the bound rightly fails.
   const Failpoint* dropped_inserts =
       FailpointRegistry::Global().Find("service.result_cache.insert");
   const char* bound_void =
@@ -213,10 +213,8 @@ int main(int argc, char** argv) {
       : metrics.search_retries != 0   ? "a search was retried"
       : dropped_inserts != nullptr && dropped_inserts->stats().fires != 0
           ? "service.result_cache.insert dropped an insert"
-      : options.cache_capacity != 0 &&
-              std::min(num_users, num_tenants) > options.cache_capacity
-          ? "more tenants host users than cache_capacity holds"
-          : nullptr;
+      : metrics.cache_evictions != 0 ? "the result cache evicted an entry"
+                                      : nullptr;
   if (bound_void != nullptr) {
     std::cout << "cache-hit bound does not apply: " << bound_void << "\n";
     return 0;

@@ -89,6 +89,15 @@ bool LocationMap::Contains(size_t i, const text::AttributeRef& attr) const {
   return std::binary_search(sorted.begin(), sorted.end(), attr);
 }
 
+const std::vector<storage::RowId>* LocationMap::RowsOf(
+    size_t i, const text::AttributeRef& attr) const {
+  if (engine_ == nullptr) return nullptr;
+  for (const text::Occurrence& occ : columns_[i].occurrences) {
+    if (occ.attr == attr) return occ.rows.get();
+  }
+  return nullptr;
+}
+
 size_t LocationMap::TotalOccurrences() const {
   size_t total = 0;
   for (const ColumnLocations& col : columns_) total += col.occurrences.size();

@@ -59,6 +59,12 @@ class LocationMap {
   /// (FromAttributes has no slot universe). Never a linear scan.
   bool Contains(size_t i, const text::AttributeRef& attr) const;
 
+  /// \brief The verified rows of `attr` that noisily contain sample i — the
+  /// engine's MatchingRows result that Build recorded — or null when `attr`
+  /// is not in L(i) or the map holds no rows (FromAttributes).
+  const std::vector<storage::RowId>* RowsOf(
+      size_t i, const text::AttributeRef& attr) const;
+
   /// \brief Total number of (column, attribute) occurrence entries.
   size_t TotalOccurrences() const;
 

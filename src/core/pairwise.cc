@@ -1,5 +1,7 @@
 #include "core/pairwise.h"
 
+#include <array>
+
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "core/canonical_key.h"
@@ -131,20 +133,36 @@ Result<PairwiseTupleMap> CreatePairwiseTuplePaths(
   MW_FAILPOINT_RETURN_NOT_OK("core.pairwise.exec");
   // Flatten the work list so the per-mapping queries can run in parallel;
   // results are merged back in flattened order, keeping the output
-  // deterministic for any thread count.
+  // deterministic for any thread count. Each query borrows its samples'
+  // matching rows from the location map, which probed the same engine for
+  // the same (attribute, sample) pairs, instead of probing again.
   struct WorkItem {
     ColumnPair key;
     const MappingPath* mapping;
-    query::SampleMap samples;
+    const query::SampleMap* samples;
+    // Per projection (a pairwise mapping has two), its rows in `locations`.
+    std::array<const std::vector<storage::RowId>*, 2> rows;
   };
+  std::vector<query::SampleMap> pair_samples;
+  pair_samples.reserve(pmpm.size());
   std::vector<WorkItem> work;
   for (const auto& [key, mappings] : pmpm) {
     const auto& [i, j] = key;
-    query::SampleMap samples{
-        {i, locations.column(static_cast<size_t>(i)).sample},
-        {j, locations.column(static_cast<size_t>(j)).sample}};
+    const query::SampleMap& samples = pair_samples.emplace_back(
+        query::SampleMap{{i, locations.column(static_cast<size_t>(i)).sample},
+                         {j, locations.column(static_cast<size_t>(j)).sample}});
     for (const MappingPath& mapping : mappings) {
-      work.push_back(WorkItem{key, &mapping, samples});
+      WorkItem item{key, &mapping, &samples, {}};
+      const std::vector<Projection>& projections = mapping.projections();
+      for (size_t k = 0; k < projections.size() && k < item.rows.size();
+           ++k) {
+        const Projection& p = projections[k];
+        item.rows[k] = locations.RowsOf(
+            static_cast<size_t>(p.target_column),
+            text::AttributeRef{mapping.vertex(p.vertex).relation,
+                               p.attribute});
+      }
+      work.push_back(item);
     }
   }
 
@@ -168,8 +186,9 @@ Result<PairwiseTupleMap> CreatePairwiseTuplePaths(
           wctx->RequestStop();
         }
         if (wctx->ShouldStop()) return;
-        results[idx] = executor.Execute(*work[idx].mapping, work[idx].samples,
-                                        exec_options, wctx);
+        const WorkItem& item = work[idx];
+        results[idx] = executor.Execute(*item.mapping, *item.samples,
+                                        exec_options, wctx, item.rows);
       });
 
   PairwiseTupleMap ptpm;

@@ -1,8 +1,8 @@
 #include "query/executor.h"
 
 #include <algorithm>
-#include <functional>
 #include <set>
+#include <span>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -21,16 +21,25 @@ using core::kNoVertex;
 using core::internal::AdjEdge;
 using core::internal::BuildAdjacency;
 
-// Per-vertex keyword constraints gathered from the projections that have a
-// sample: (attribute, sample) pairs.
+// Per-vertex candidate rows: the rows satisfying every keyword predicate on
+// the vertex, possibly narrowed by NarrowBySemiJoins.
 struct VertexConstraint {
-  std::vector<std::pair<storage::AttributeId, std::string>> predicates;
-  // Sorted candidate row ids; only meaningful when `restricted`. Rows
-  // satisfying every predicate, possibly narrowed by NarrowBySemiJoins.
-  std::vector<storage::RowId> rows;
-  // Set for vertices with predicates and for vertices narrowed by a
-  // constrained subtree.
+  // Sorted candidate row ids; only meaningful when `restricted`. Points at a
+  // caller's borrowed row set, at `probed`, or at `owned`.
+  std::span<const storage::RowId> rows;
+  text::RowSet probed;               // keeps a probe's result alive
+  std::vector<storage::RowId> owned;  // intersected or narrowed sets
+  // Set for vertices with keyword predicates; the start vertex is one.
+  bool keyword = false;
+  // Set for keyword vertices and for vertices narrowed by a constrained
+  // subtree.
   bool restricted = false;
+
+  void Own(std::vector<storage::RowId> set) {
+    owned = std::move(set);
+    rows = owned;
+    restricted = true;
+  }
 };
 
 // Enumeration nodes an Execute visits before it narrows the candidate sets
@@ -43,25 +52,29 @@ constexpr size_t kNarrowAfterNodes = 4096;
 struct Step {
   VertexId vertex;
   VertexId from;                       // kNoVertex for the start vertex
-  storage::AttributeId vertex_attr;    // join attr on `vertex`'s side
-  storage::AttributeId from_attr;      // join attr on `from`'s side
+  storage::ForeignKeyId fk;
+  bool vertex_is_from_side;            // `vertex` on `fk`'s from side
   // Earlier-assigned vertices that are neighbors of `from` via the same FK
   // and orientation as `vertex`: their rows must differ from `vertex`'s
   // (see the normal-form note in executor.h).
   std::vector<VertexId> distinct_from;
-  // `vertex`'s relation's index on vertex_attr, resolved once per plan
-  // rather than once per enumeration node: IndexOn takes the relation's
-  // lock, which every thread evaluating paths over it contends on.
-  const storage::HashIndex* index = nullptr;
+  // Rows of `from`'s relation -> joined rows of `vertex`'s relation,
+  // resolved once per plan.
+  const storage::JoinIndex* join = nullptr;
 };
 
-bool SortedContains(const std::vector<storage::RowId>& sorted,
+bool SortedContains(std::span<const storage::RowId> sorted,
                     storage::RowId row) {
   return std::binary_search(sorted.begin(), sorted.end(), row);
 }
 
-// The complete evaluation plan for one mapping + constraint set.
+// The complete evaluation plan for one mapping + constraint set. Move-only:
+// constraint row spans may point into the plan's own storage.
 struct Plan {
+  Plan() = default;
+  Plan(Plan&&) = default;
+  Plan& operator=(Plan&&) = default;
+
   std::vector<VertexConstraint> constraints;  // per mapping vertex
   VertexId start = 0;
   std::vector<Step> steps;  // empty iff a constraint set is empty
@@ -69,18 +82,21 @@ struct Plan {
 };
 
 // Plan construction shared by Execute and Explain: gather per-vertex
-// constraint row sets, pick the most selective start vertex, and lay out
-// the BFS join order with the normal-form distinctness lists. `counters`
-// (may be null) accumulates the keyword probes' statistics.
+// constraint row sets (borrowed from `known_rows` where given, probed
+// otherwise), pick the most selective start vertex, and lay out the BFS
+// join order with the normal-form distinctness lists. `counters` (may be
+// null) accumulates the keyword probes' statistics.
 Result<Plan> BuildPlan(const text::FullTextEngine& engine,
                        const MappingPath& mapping, const SampleMap& samples,
+                       ProjectionRows known_rows,
                        text::ProbeCounters* counters) {
   const storage::Database& db = engine.db();
   const size_t n = mapping.num_vertices();
   if (n == 0) {
     return Status::InvalidArgument("empty mapping path");
   }
-  for (const Projection& p : mapping.projections()) {
+  const std::vector<Projection>& projections = mapping.projections();
+  for (const Projection& p : projections) {
     if (p.vertex < 0 || static_cast<size_t>(p.vertex) >= n) {
       return Status::InvalidArgument(
           StrFormat("projection for column %d references vertex %d of a "
@@ -90,32 +106,36 @@ Result<Plan> BuildPlan(const text::FullTextEngine& engine,
   }
 
   Plan plan;
-  // 1. Gather per-vertex keyword constraints and their verified row sets.
+  // 1. Per-vertex keyword constraints: intersect the matching rows of every
+  // sampled projection on the vertex.
   plan.constraints.resize(n);
-  for (const Projection& p : mapping.projections()) {
-    auto it = samples.find(p.target_column);
-    if (it == samples.end() || it->second.empty()) continue;
-    plan.constraints[static_cast<size_t>(p.vertex)].predicates.emplace_back(
-        p.attribute, it->second);
-  }
   for (size_t v = 0; v < n; ++v) {
     VertexConstraint& c = plan.constraints[v];
-    if (c.predicates.empty()) continue;
-    c.restricted = true;
     const storage::RelationId rel =
         mapping.vertex(static_cast<VertexId>(v)).relation;
-    bool first = true;
-    for (const auto& [attr, sample] : c.predicates) {
-      const text::RowSet rows =
-          engine.MatchingRows(text::AttributeRef{rel, attr}, sample, counters);
-      if (first) {
-        c.rows = *rows;
-        first = false;
+    for (size_t k = 0; k < projections.size(); ++k) {
+      const Projection& p = projections[k];
+      if (static_cast<size_t>(p.vertex) != v) continue;
+      auto it = samples.find(p.target_column);
+      if (it == samples.end() || it->second.empty()) continue;
+      std::span<const storage::RowId> rows;
+      text::RowSet probed;
+      if (k < known_rows.size() && known_rows[k] != nullptr) {
+        rows = *known_rows[k];
+      } else {
+        probed = engine.MatchingRows(text::AttributeRef{rel, p.attribute},
+                                     it->second, counters);
+        rows = *probed;
+      }
+      if (!c.keyword) {
+        c.rows = rows;
+        c.probed = std::move(probed);
+        c.keyword = c.restricted = true;
       } else {
         std::vector<storage::RowId> merged;
-        std::set_intersection(c.rows.begin(), c.rows.end(), rows->begin(),
-                              rows->end(), std::back_inserter(merged));
-        c.rows = std::move(merged);
+        std::set_intersection(c.rows.begin(), c.rows.end(), rows.begin(),
+                              rows.end(), std::back_inserter(merged));
+        c.Own(std::move(merged));
       }
       if (c.rows.empty()) {
         plan.provably_empty = true;
@@ -128,55 +148,40 @@ Result<Plan> BuildPlan(const text::FullTextEngine& engine,
   // candidates, falling back to vertex 0 for unconstrained queries.
   size_t best = SIZE_MAX;
   for (size_t v = 0; v < n; ++v) {
-    if (!plan.constraints[v].predicates.empty() &&
-        plan.constraints[v].rows.size() < best) {
+    if (plan.constraints[v].keyword && plan.constraints[v].rows.size() < best) {
       best = plan.constraints[v].rows.size();
       plan.start = static_cast<VertexId>(v);
     }
   }
 
   // 3. Traversal order: BFS from the start so each step joins to an
-  // already-assigned vertex.
+  // already-assigned vertex; `steps` doubles as the BFS queue.
   const auto adj = BuildAdjacency(mapping.vertices());
   // assign_order[v] = position of v in `steps` (SIZE_MAX = unassigned).
   std::vector<size_t> assign_order(n, SIZE_MAX);
   assign_order[static_cast<size_t>(plan.start)] = 0;
-  plan.steps.push_back(Step{plan.start, kNoVertex,
-                            storage::kInvalidAttribute,
-                            storage::kInvalidAttribute, {}});
-  std::vector<VertexId> frontier{plan.start};
-  while (!frontier.empty()) {
-    std::vector<VertexId> next;
-    for (VertexId u : frontier) {
-      for (const AdjEdge& e : adj[static_cast<size_t>(u)]) {
-        if (assign_order[static_cast<size_t>(e.neighbor)] != SIZE_MAX) {
-          continue;
-        }
-        const storage::ForeignKey& fk =
-            db.foreign_keys()[static_cast<size_t>(e.fk)];
-        const storage::AttributeId v_attr =
-            e.neighbor_is_from_side ? fk.from_attribute : fk.to_attribute;
-        const storage::AttributeId u_attr =
-            e.neighbor_is_from_side ? fk.to_attribute : fk.from_attribute;
-        Step step{e.neighbor, u, v_attr, u_attr, {},
-                  &db.relation(mapping.vertex(e.neighbor).relation)
-                       .IndexOn(v_attr)};
-        // Normal form: the new vertex must differ from every already-
-        // assigned neighbor of `u` reached via the same FK/orientation.
-        for (const AdjEdge& other : adj[static_cast<size_t>(u)]) {
-          if (other.neighbor != e.neighbor && other.fk == e.fk &&
-              other.neighbor_is_from_side == e.neighbor_is_from_side &&
-              assign_order[static_cast<size_t>(other.neighbor)] !=
-                  SIZE_MAX) {
-            step.distinct_from.push_back(other.neighbor);
-          }
-        }
-        assign_order[static_cast<size_t>(e.neighbor)] = plan.steps.size();
-        plan.steps.push_back(std::move(step));
-        next.push_back(e.neighbor);
+  plan.steps.reserve(n);
+  plan.steps.push_back(Step{plan.start, kNoVertex, -1, false, {}});
+  for (size_t head = 0; head < plan.steps.size(); ++head) {
+    const VertexId u = plan.steps[head].vertex;
+    for (const AdjEdge& e : adj[static_cast<size_t>(u)]) {
+      if (assign_order[static_cast<size_t>(e.neighbor)] != SIZE_MAX) {
+        continue;
       }
+      Step step{e.neighbor, u, e.fk, e.neighbor_is_from_side, {},
+                &db.JoinIndexOn(e.fk, !e.neighbor_is_from_side)};
+      // Normal form: the new vertex must differ from every already-
+      // assigned neighbor of `u` reached via the same FK/orientation.
+      for (const AdjEdge& other : adj[static_cast<size_t>(u)]) {
+        if (other.neighbor != e.neighbor && other.fk == e.fk &&
+            other.neighbor_is_from_side == e.neighbor_is_from_side &&
+            assign_order[static_cast<size_t>(other.neighbor)] != SIZE_MAX) {
+          step.distinct_from.push_back(other.neighbor);
+        }
+      }
+      assign_order[static_cast<size_t>(e.neighbor)] = plan.steps.size();
+      plan.steps.push_back(std::move(step));
     }
-    frontier = std::move(next);
   }
   MW_CHECK_EQ(plan.steps.size(), n) << "mapping path is not connected";
   return plan;
@@ -191,23 +196,18 @@ Result<Plan> BuildPlan(const text::FullTextEngine& engine,
 // narrowed sets therefore prune dead branches only, and the enumeration
 // emits the same tuple paths in the same order. Sets `provably_empty` when
 // a vertex is left without candidates.
-void NarrowBySemiJoins(const storage::Database& db, const MappingPath& mapping,
-                       Plan* plan) {
+void NarrowBySemiJoins(const storage::Database& db, Plan* plan) {
   for (size_t i = plan->steps.size(); i-- > 1;) {
     const Step& step = plan->steps[i];
     const VertexConstraint& child =
         plan->constraints[static_cast<size_t>(step.vertex)];
     if (!child.restricted) continue;
-    const storage::Relation& child_rel =
-        db.relation(mapping.vertex(step.vertex).relation);
-    const storage::HashIndex& parent_index =
-        db.relation(mapping.vertex(step.from).relation)
-            .IndexOn(step.from_attr);
+    // Rows of `vertex`'s relation -> joined rows of `from`'s relation.
+    const storage::JoinIndex& up =
+        db.JoinIndexOn(step.fk, step.vertex_is_from_side);
     std::vector<storage::RowId> joined;
     for (storage::RowId row : child.rows) {
-      const storage::Value& value = child_rel.at(row, step.vertex_attr);
-      if (value.is_null()) continue;
-      const std::vector<storage::RowId>& parents = parent_index.Lookup(value);
+      const std::span<const uint32_t> parents = up.Joined(row);
       joined.insert(joined.end(), parents.begin(), parents.end());
     }
     std::sort(joined.begin(), joined.end());
@@ -219,10 +219,9 @@ void NarrowBySemiJoins(const storage::Database& db, const MappingPath& mapping,
       std::set_intersection(parent.rows.begin(), parent.rows.end(),
                             joined.begin(), joined.end(),
                             std::back_inserter(both));
-      parent.rows = std::move(both);
+      parent.Own(std::move(both));
     } else {
-      parent.rows = std::move(joined);
-      parent.restricted = true;
+      parent.Own(std::move(joined));
     }
     if (parent.rows.empty()) {
       plan->provably_empty = true;
@@ -230,6 +229,16 @@ void NarrowBySemiJoins(const storage::Database& db, const MappingPath& mapping,
     }
   }
 }
+
+// Where one step's enumeration stands: positions [pos, end) of its
+// candidates are still to be tried. A join step walks the join index run
+// `joined`; the start step walks its constraint rows, or every row of its
+// relation when it has none.
+struct Cursor {
+  const uint32_t* joined = nullptr;
+  size_t pos = 0;
+  size_t end = 0;
+};
 
 }  // namespace
 
@@ -240,16 +249,19 @@ PathExecutor::PathExecutor(const text::FullTextEngine* engine)
 
 Result<std::vector<core::TuplePath>> PathExecutor::Execute(
     const core::MappingPath& mapping, const SampleMap& samples,
-    const ExecOptions& options, core::ExecutionContext* ctx) const {
+    const ExecOptions& options, core::ExecutionContext* ctx,
+    ProjectionRows known_rows) const {
   const storage::Database& db = engine_->db();
   const size_t n = mapping.num_vertices();
   MW_ASSIGN_OR_RETURN(
       Plan plan,
-      BuildPlan(*engine_, mapping, samples,
+      BuildPlan(*engine_, mapping, samples, known_rows,
                 ctx != nullptr ? &ctx->probe_counters() : nullptr));
   if (plan.provably_empty) return std::vector<core::TuplePath>{};
   const std::vector<VertexConstraint>& constraints = plan.constraints;
   const std::vector<Step>& steps = plan.steps;
+  const storage::Relation& start_rel =
+      db.relation(mapping.vertex(plan.start).relation);
 
   // 4. Depth-first enumeration of row assignments along the steps.
   std::vector<core::TuplePath> results;
@@ -286,62 +298,66 @@ Result<std::vector<core::TuplePath>> PathExecutor::Execute(
                           ? kNarrowAfterNodes
                           : 0;
   bool out_of_nodes = false;
-  std::function<void(size_t)> enumerate = [&](size_t step_index) {
-    if (done) return;
-    // One poll per enumeration node bounds the overrun to a single
-    // assignment's fan-out; ShouldStop throttles the actual clock reads.
+  // cursors[d] walks the candidates of steps[d]; a node of the search tree
+  // is an assignment of steps[0, d).
+  std::vector<Cursor> cursors(steps.size());
+
+  // Enters the node whose next step is `d`. False when the node has no
+  // children: it is a full assignment (emitted here), or the run is done.
+  // One poll per node bounds the overrun to a single assignment's fan-out;
+  // ShouldStop throttles the actual clock reads.
+  auto enter = [&](size_t d) {
     if (ctx != nullptr && ctx->ShouldStop()) {
       done = true;
-      return;
+      return false;
     }
     if (nodes_left > 0 && --nodes_left == 0) {
       out_of_nodes = done = true;
-      return;
+      return false;
     }
-    if (step_index == steps.size()) {
+    if (d == steps.size()) {
       emit();
       if (options.stop_at_first ||
           (options.max_results > 0 && results.size() >= options.max_results)) {
         done = true;
       }
-      return;
+      return false;
     }
-    const Step& step = steps[step_index];
-    const size_t v = static_cast<size_t>(step.vertex);
-    const storage::Relation& rel =
-        db.relation(mapping.vertex(step.vertex).relation);
-
+    const Step& step = steps[d];
+    Cursor& cursor = cursors[d];
+    cursor.pos = 0;
     if (step.from == kNoVertex) {
-      // Start vertex: iterate its constrained candidates, or every row.
-      if (constraints[v].restricted) {
-        for (storage::RowId row : constraints[v].rows) {
-          assignment[v] = row;
-          enumerate(step_index + 1);
-          if (done) return;
-        }
-      } else {
-        for (size_t r = 0; r < rel.num_rows(); ++r) {
-          if (rel.is_deleted(static_cast<storage::RowId>(r))) continue;
-          assignment[v] = static_cast<storage::RowId>(r);
-          enumerate(step_index + 1);
-          if (done) return;
-        }
-      }
-      return;
+      const VertexConstraint& c = constraints[static_cast<size_t>(step.vertex)];
+      cursor.end = c.restricted ? c.rows.size() : start_rel.num_rows();
+    } else {
+      const std::span<const uint32_t> run =
+          step.join->Joined(assignment[static_cast<size_t>(step.from)]);
+      cursor.joined = run.data();
+      cursor.end = run.size();
     }
+    return true;
+  };
 
-    const storage::Relation& from_rel =
-        db.relation(mapping.vertex(step.from).relation);
-    const storage::Value& join_value = from_rel.at(
-        assignment[static_cast<size_t>(step.from)], step.from_attr);
-    if (join_value.is_null()) return;  // inner join: NULL never matches
-    const std::vector<storage::RowId>& joined =
-        step.index->Lookup(join_value);
-    for (storage::RowId row : joined) {
-      if (constraints[v].restricted &&
-          !SortedContains(constraints[v].rows, row)) {
-        continue;
+  // Assigns steps[d]'s next candidate; false once they are exhausted.
+  auto advance = [&](size_t d) {
+    const Step& step = steps[d];
+    Cursor& cursor = cursors[d];
+    const VertexConstraint& c = constraints[static_cast<size_t>(step.vertex)];
+    storage::RowId& slot = assignment[static_cast<size_t>(step.vertex)];
+    while (cursor.pos < cursor.end) {
+      const size_t i = cursor.pos++;
+      if (step.from == kNoVertex) {
+        // Start vertex: its constrained candidates, or every live row.
+        if (c.restricted) {
+          slot = c.rows[i];
+          return true;
+        }
+        if (start_rel.is_deleted(static_cast<storage::RowId>(i))) continue;
+        slot = static_cast<storage::RowId>(i);
+        return true;
       }
+      const storage::RowId row = cursor.joined[i];
+      if (c.restricted && !SortedContains(c.rows, row)) continue;
       bool duplicate_sibling = false;
       for (VertexId w : step.distinct_from) {
         if (assignment[static_cast<size_t>(w)] == row) {
@@ -350,20 +366,35 @@ Result<std::vector<core::TuplePath>> PathExecutor::Execute(
         }
       }
       if (duplicate_sibling) continue;
-      assignment[v] = row;
-      enumerate(step_index + 1);
-      if (done) return;
+      slot = row;
+      return true;
+    }
+    return false;
+  };
+
+  auto enumerate = [&]() {
+    if (!enter(0)) return;
+    size_t d = 0;
+    while (true) {
+      if (!advance(d)) {
+        if (d == 0) return;
+        --d;
+      } else if (enter(d + 1)) {
+        ++d;
+      } else if (done) {
+        return;
+      }
     }
   };
-  enumerate(0);
+  enumerate();
   if (out_of_nodes) {
     // Narrow, then enumerate again from scratch, without a budget: the
     // narrowed run emits the same paths in the same order.
-    NarrowBySemiJoins(db, mapping, &plan);
+    NarrowBySemiJoins(db, &plan);
     results.clear();
     if (plan.provably_empty) return results;
     done = false;
-    enumerate(0);
+    enumerate();
   }
   return results;
 }
@@ -372,7 +403,7 @@ Result<std::string> PathExecutor::Explain(const core::MappingPath& mapping,
                                           const SampleMap& samples) const {
   const storage::Database& db = engine_->db();
   MW_ASSIGN_OR_RETURN(Plan plan,
-                      BuildPlan(*engine_, mapping, samples, nullptr));
+                      BuildPlan(*engine_, mapping, samples, {}, nullptr));
   std::string out = "plan for " + mapping.ToString(db) + "\n";
   if (plan.provably_empty) {
     out += "  provably empty: a keyword constraint matches no rows\n";
@@ -387,7 +418,7 @@ Result<std::string> PathExecutor::Explain(const core::MappingPath& mapping,
     out += StrFormat("  %zu. ", i + 1);
     if (step.from == kNoVertex) {
       out += "scan " + rel.name();
-      if (c.predicates.empty()) {
+      if (!c.keyword) {
         out += StrFormat(" (%zu rows)", rel.num_rows());
       } else {
         out += StrFormat(" via full-text candidates (%zu rows)",
@@ -396,12 +427,17 @@ Result<std::string> PathExecutor::Explain(const core::MappingPath& mapping,
     } else {
       const storage::Relation& from_rel =
           db.relation(mapping.vertex(step.from).relation);
+      const storage::ForeignKey& fk = db.foreign_key(step.fk);
+      const storage::AttributeId vertex_attr =
+          step.vertex_is_from_side ? fk.from_attribute : fk.to_attribute;
+      const storage::AttributeId from_attr =
+          step.vertex_is_from_side ? fk.to_attribute : fk.from_attribute;
       out += StrFormat(
           "index join %s.%s = %s.%s", rel.name().c_str(),
-          rel.schema().attribute(step.vertex_attr).name.c_str(),
+          rel.schema().attribute(vertex_attr).name.c_str(),
           from_rel.name().c_str(),
-          from_rel.schema().attribute(step.from_attr).name.c_str());
-      if (!c.predicates.empty()) {
+          from_rel.schema().attribute(from_attr).name.c_str());
+      if (c.keyword) {
         out += StrFormat(" ∩ full-text candidates (%zu rows)",
                          c.rows.size());
       }

@@ -9,8 +9,9 @@
 //    Eirene baseline and the naive baseline's validation step).
 //
 // Execution strategy: start from the most selective keyword-constrained
-// vertex and enumerate tuple assignments by following foreign-key hash
-// indexes along the tree's edges — never scanning unrelated tuples.
+// vertex and enumerate tuple assignments by following the database's
+// foreign-key join indexes (storage::JoinIndex) along the tree's edges —
+// never scanning unrelated tuples.
 //
 // Normal form: two neighbors of the same vertex joined via the same foreign
 // key and orientation must be assigned *distinct* tuples. Assignments
@@ -23,6 +24,7 @@
 #define MWEAVER_QUERY_EXECUTOR_H_
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,6 +39,13 @@ namespace mweaver::query {
 /// \brief Keyword constraints: target column -> user sample. Columns absent
 /// from the map are unconstrained.
 using SampleMap = std::map<int, std::string>;
+
+/// \brief Keyword matches the caller already holds, one entry per mapping
+/// projection in MappingPath::projections() order: the sorted rows of the
+/// projection's attribute that noisily contain its column's sample, i.e.
+/// what FullTextEngine::MatchingRows returns for them. Null entries (and
+/// projections past the end) are probed. Borrowed for the call only.
+using ProjectionRows = std::span<const std::vector<storage::RowId>* const>;
 
 struct ExecOptions {
   /// Stop after this many tuple paths (0 = unlimited).
@@ -57,11 +66,13 @@ class PathExecutor {
   /// noisily contain the given samples. Fails only on malformed mappings
   /// (e.g. a projection for a column with no vertex). When `ctx` is given,
   /// the enumeration polls its deadline/cancel token and returns the
-  /// results found so far on a stop.
+  /// results found so far on a stop. `known_rows` lets a caller that
+  /// already probed the samples (the pairwise stage, from its location
+  /// map) skip the re-probe.
   Result<std::vector<core::TuplePath>> Execute(
       const core::MappingPath& mapping, const SampleMap& samples,
-      const ExecOptions& options = {},
-      core::ExecutionContext* ctx = nullptr) const;
+      const ExecOptions& options = {}, core::ExecutionContext* ctx = nullptr,
+      ProjectionRows known_rows = {}) const;
 
   /// \brief True iff at least one supporting tuple path exists. A stopped
   /// `ctx` reports false for support not yet found.

@@ -107,7 +107,14 @@ core::Session::SearchFn MappingService::MakeCachingSearchFn(
                                            snapshot->graph(), first_row,
                                            opts, ctx));
     metrics_.RecordSearchTrace(result.stats.trace);
-    cache_.Insert(key, result);  // rejects truncated results itself
+    // Insert rejects truncated results itself.
+    if (std::optional<std::string> evicted = cache_.Insert(key, result)) {
+      metrics_.RecordCacheEviction();
+      if (!evicted->empty()) {
+        tenant_metrics_.ForTenant(*evicted)->cache_evictions.fetch_add(
+            1, std::memory_order_relaxed);
+      }
+    }
     return result;
   };
 }
@@ -396,20 +403,25 @@ RequestResult MappingService::Process(const QueuedRequest& queued) {
           session.context().clear_deadline();
           result.state = session.state();
           result.num_candidates = session.candidates().size();
-          // `truncated` describes THIS request: only the input that fired
-          // the first-row search can be cut short by the deadline (stats
-          // persist on the session afterwards, so don't re-report them for
-          // later pruning inputs).
+          // `truncated` describes THIS request: the first-row search it
+          // fired, or the pruning pass it ran, was cut short by the
+          // deadline (search stats persist on the session afterwards, so
+          // don't re-report them for later pruning inputs).
           const bool search_ran_now =
               was_awaiting &&
               session.state() != core::SessionState::kAwaitingFirstRow;
-          result.truncated =
-              search_ran_now && session.search_stats().truncated;
           // A non-empty below-first-row input on a searched session ran a
-          // pruning pass: fold its trace (kPrune latency, worker fan-out,
-          // probe counters) into the metrics. Empty values clear cells
-          // without pruning — the context still holds a stale trace then.
-          if (input.ok() && !was_awaiting && !queued.request.value.empty()) {
+          // pruning pass. A stop during it kept unexamined candidates, so
+          // its answer is partial. Fold its trace (kPrune latency, worker
+          // fan-out, probe counters) into the metrics. Empty values clear
+          // cells without pruning — the context still holds a stale trace
+          // and stop latch then.
+          const bool pruned_now =
+              input.ok() && !was_awaiting && !queued.request.value.empty();
+          result.truncated =
+              search_ran_now ? session.search_stats().truncated
+                             : pruned_now && session.context().stop_requested();
+          if (pruned_now) {
             metrics_.RecordPruneTrace(session.context().trace());
           }
           return input;

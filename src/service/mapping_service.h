@@ -125,7 +125,9 @@ struct RequestResult {
   RequestOutcome outcome = RequestOutcome::kFailed;
   core::SessionState state = core::SessionState::kAwaitingFirstRow;
   size_t num_candidates = 0;
-  /// The search was cut short (deadline or tuple-path caps).
+  /// The first-row search this request fired was cut short (deadline or
+  /// tuple-path caps), or the pruning pass it ran was stopped and kept
+  /// candidates it did not examine.
   bool truncated = false;
   /// The first-row search was answered from the result cache.
   bool cache_hit = false;

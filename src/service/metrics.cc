@@ -65,7 +65,8 @@ std::string MetricsSnapshot::ToString() const {
   std::string out = StrFormat(
       "requests: %llu ok, %llu truncated, %llu degraded, %llu failed, "
       "%llu overloaded | retries: %llu | "
-      "cache: %llu hits / %llu misses (%.1f%%) | queue high-water: %llu | "
+      "cache: %llu hits / %llu misses (%.1f%%), %llu evictions | "
+      "queue high-water: %llu | "
       "latency p50/p95/p99 <= %.2f/%.2f/%.2f ms",
       static_cast<unsigned long long>(requests_ok),
       static_cast<unsigned long long>(requests_truncated),
@@ -75,6 +76,7 @@ std::string MetricsSnapshot::ToString() const {
       static_cast<unsigned long long>(search_retries),
       static_cast<unsigned long long>(cache_hits),
       static_cast<unsigned long long>(cache_misses), CacheHitRate() * 100.0,
+      static_cast<unsigned long long>(cache_evictions),
       static_cast<unsigned long long>(queue_high_water),
       ApproxLatencyPercentileMs(0.50), ApproxLatencyPercentileMs(0.95),
       ApproxLatencyPercentileMs(0.99));
@@ -157,6 +159,7 @@ std::string MetricsSnapshot::ToJson() const {
   AppendJsonUInt(&out, "cache_hits", cache_hits, &first);
   AppendJsonUInt(&out, "cache_misses", cache_misses, &first);
   AppendJsonDouble(&out, "cache_hit_rate", CacheHitRate(), &first);
+  AppendJsonUInt(&out, "cache_evictions", cache_evictions, &first);
   AppendJsonUInt(&out, "queue_high_water", queue_high_water, &first);
   AppendJsonDouble(&out, "approx_latency_p50_ms",
                    ApproxLatencyPercentileMs(0.50), &first);
@@ -217,6 +220,8 @@ MetricsSnapshot MetricsSnapshot::Delta(const MetricsSnapshot& earlier) const {
       SaturatingSub(requests_failed, earlier.requests_failed);
   delta.cache_hits = SaturatingSub(cache_hits, earlier.cache_hits);
   delta.cache_misses = SaturatingSub(cache_misses, earlier.cache_misses);
+  delta.cache_evictions =
+      SaturatingSub(cache_evictions, earlier.cache_evictions);
   delta.search_retries = SaturatingSub(search_retries, earlier.search_retries);
   delta.updates_ok = SaturatingSub(updates_ok, earlier.updates_ok);
   delta.updates_failed = SaturatingSub(updates_failed, earlier.updates_failed);
@@ -278,6 +283,10 @@ void ServiceMetrics::RecordQueueDepth(size_t depth) {
 
 void ServiceMetrics::RecordCacheLookup(bool hit) {
   (hit ? cache_hits_ : cache_misses_).fetch_add(1, std::memory_order_relaxed);
+}
+
+void ServiceMetrics::RecordCacheEviction() {
+  cache_evictions_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ServiceMetrics::RecordSearchRetry() {
@@ -377,6 +386,7 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
   snap.requests_failed = failed_.load(std::memory_order_relaxed);
   snap.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   snap.cache_misses = cache_misses_.load(std::memory_order_relaxed);
+  snap.cache_evictions = cache_evictions_.load(std::memory_order_relaxed);
   snap.search_retries = search_retries_.load(std::memory_order_relaxed);
   snap.updates_ok = updates_ok_.load(std::memory_order_relaxed);
   snap.updates_failed = updates_failed_.load(std::memory_order_relaxed);
@@ -455,6 +465,8 @@ TenantMetricsRegistry::Snapshot() const {
     snap.cache_hits = counters->cache_hits.load(std::memory_order_relaxed);
     snap.cache_misses =
         counters->cache_misses.load(std::memory_order_relaxed);
+    snap.cache_evictions =
+        counters->cache_evictions.load(std::memory_order_relaxed);
     snap.sessions_created =
         counters->sessions_created.load(std::memory_order_relaxed);
     snap.share_rejections =
@@ -520,6 +532,7 @@ std::string TenantMetricsRegistry::ToJson() const {
                    &first);
     AppendJsonUInt(&out, "cache_hits", snap.cache_hits, &first);
     AppendJsonUInt(&out, "cache_misses", snap.cache_misses, &first);
+    AppendJsonUInt(&out, "cache_evictions", snap.cache_evictions, &first);
     AppendJsonUInt(&out, "sessions_created", snap.sessions_created, &first);
     out += '}';
   }

@@ -49,6 +49,9 @@ struct MetricsSnapshot {
 
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
+  /// Result-cache entries dropped by LRU capacity pressure (tenant purges
+  /// are not evictions).
+  uint64_t cache_evictions = 0;
 
   /// Transient search failures the service absorbed by retrying. One
   /// retried-then-successful request bumps this once and lands in
@@ -143,6 +146,7 @@ class ServiceMetrics {
   void RecordRequest(RequestOutcome outcome, double latency_ms);
   void RecordQueueDepth(size_t depth);
   void RecordCacheLookup(bool hit);
+  void RecordCacheEviction();
   /// \brief Counts one absorbed transient search failure (retry issued).
   void RecordSearchRetry();
   /// \brief Counts one streaming update batch; `rows_inserted` /
@@ -181,6 +185,7 @@ class ServiceMetrics {
   std::atomic<uint64_t> failed_{0};
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> cache_misses_{0};
+  std::atomic<uint64_t> cache_evictions_{0};
   std::atomic<uint64_t> search_retries_{0};
   std::atomic<uint64_t> updates_ok_{0};
   std::atomic<uint64_t> updates_failed_{0};
@@ -211,6 +216,8 @@ struct TenantMetricsSnapshot {
   uint64_t requests_failed = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
+  /// This tenant's result-cache entries dropped by LRU capacity pressure.
+  uint64_t cache_evictions = 0;
   uint64_t sessions_created = 0;
   /// Admissions refused by the per-tenant queue share specifically (these
   /// are also counted in requests_overloaded — this tells a hot tenant's
@@ -245,6 +252,7 @@ class TenantMetricsRegistry {
     std::array<std::atomic<uint64_t>, 5> by_outcome{};  // RequestOutcome
     std::atomic<uint64_t> cache_hits{0};
     std::atomic<uint64_t> cache_misses{0};
+    std::atomic<uint64_t> cache_evictions{0};
     std::atomic<uint64_t> sessions_created{0};
     std::atomic<uint64_t> share_rejections{0};
     std::atomic<uint64_t> updates_ok{0};

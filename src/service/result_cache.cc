@@ -69,6 +69,20 @@ std::string ResultCache::MakeKey(std::string_view tenant, uint64_t epoch,
                            first_row, options);
 }
 
+std::string_view ResultCache::TenantOfKey(std::string_view key) {
+  // "t=<len>:<name>;" — read the length, then take exactly that many bytes.
+  if (!key.starts_with("t=")) return {};
+  const size_t colon = key.find(':');
+  if (colon == std::string_view::npos) return {};
+  size_t len = 0;
+  for (size_t i = 2; i < colon; ++i) {
+    if (key[i] < '0' || key[i] > '9') return {};
+    len = len * 10 + static_cast<size_t>(key[i] - '0');
+  }
+  if (key.size() - colon - 1 < len) return {};
+  return key.substr(colon + 1, len);
+}
+
 size_t ResultCache::EvictTenantEntries(std::string_view tenant) {
   return EvictTenantEntries(tenant, std::numeric_limits<uint64_t>::max());
 }
@@ -114,25 +128,30 @@ std::optional<core::SearchResult> ResultCache::Lookup(const std::string& key) {
   return it->second->second;
 }
 
-void ResultCache::Insert(const std::string& key, core::SearchResult result) {
-  if (capacity_ == 0) return;
-  if (result.stats.truncated) return;  // never replay partial results
+std::optional<std::string> ResultCache::Insert(const std::string& key,
+                                               core::SearchResult result) {
+  if (capacity_ == 0) return std::nullopt;
+  // Never replay partial results.
+  if (result.stats.truncated) return std::nullopt;
   // Chaos site: a dropped result-cache insert; like the probe memo, losing
   // one only forces recomputation on the next identical request.
-  if (MW_FAILPOINT_TRIGGERED("service.result_cache.insert")) return;
+  if (MW_FAILPOINT_TRIGGERED("service.result_cache.insert")) {
+    return std::nullopt;
+  }
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it != index_.end()) {
     it->second->second = std::move(result);
     lru_.splice(lru_.begin(), lru_, it->second);
-    return;
+    return std::nullopt;
   }
   lru_.emplace_front(key, std::move(result));
   index_[key] = lru_.begin();
-  if (lru_.size() > capacity_) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-  }
+  if (lru_.size() <= capacity_) return std::nullopt;
+  std::optional<std::string> tenant(TenantOfKey(lru_.back().first));
+  index_.erase(lru_.back().first);
+  lru_.pop_back();
+  return tenant;
 }
 
 size_t ResultCache::size() const {

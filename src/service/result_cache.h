@@ -76,6 +76,9 @@ class ResultCache {
       std::string_view prefix, const std::vector<std::string>& first_row,
       const core::SearchOptions& options);
 
+  /// \brief The tenant segment of a MakeKey key; empty for keys without one.
+  static std::string_view TenantOfKey(std::string_view key);
+
   /// \brief Drops every entry belonging to `tenant` (any epoch); returns
   /// how many were removed. Used when a tenant is dropped —
   /// correctness never depends on this (epochs are never reused), it just
@@ -95,8 +98,10 @@ class ResultCache {
 
   /// \brief Inserts (or refreshes) `result` under `key`, evicting the
   /// least-recently-used entry beyond capacity. Truncated results are
-  /// rejected (see file comment).
-  void Insert(const std::string& key, core::SearchResult result);
+  /// rejected (see file comment). Returns the tenant (TenantOfKey) of the
+  /// entry evicted to make room, if one was.
+  std::optional<std::string> Insert(const std::string& key,
+                                    core::SearchResult result);
 
   size_t size() const;
   size_t capacity() const { return capacity_; }

@@ -1,8 +1,60 @@
 #include "storage/database.h"
 
+#include <atomic>
+#include <mutex>
+
 #include "common/string_util.h"
 
 namespace mweaver::storage {
+
+// Slot 2 * fk holds the index whose source is the FK's from side, slot
+// 2 * fk + 1 the to side. Readers load `published` without a lock; builds
+// run under `mu`, which also guards `owned` and `retired`. mutable_relation
+// empties the slots of the relation's FKs, so an index is stale only if a
+// relation changed through a Relation* taken before the index was built.
+// Then a concurrent reader may still be reading the stale index's stamp, so
+// the rebuild retires it rather than freeing it: it lives as long as the
+// database.
+struct Database::JoinIndexes {
+  explicit JoinIndexes(size_t num_slots)
+      : owned(num_slots),
+        published(std::make_unique<std::atomic<const JoinIndex*>[]>(
+            num_slots)) {}
+
+  JoinIndexes(const JoinIndexes& other) : JoinIndexes(other.owned.size()) {
+    std::lock_guard<std::mutex> lock(other.mu);
+    owned = other.owned;
+    for (size_t i = 0; i < owned.size(); ++i) {
+      published[i].store(owned[i].get(), std::memory_order_relaxed);
+    }
+  }
+
+  // Empties the slots of every FK with `rel` on either side. Callers own
+  // the database exclusively, so no reader holds these indexes.
+  void Drop(RelationId rel, const std::vector<ForeignKey>& fks) {
+    std::lock_guard<std::mutex> lock(mu);
+    for (size_t f = 0; f < fks.size(); ++f) {
+      if (fks[f].from_relation != rel && fks[f].to_relation != rel) continue;
+      for (size_t slot : {2 * f, 2 * f + 1}) {
+        published[slot].store(nullptr, std::memory_order_relaxed);
+        owned[slot].reset();
+      }
+    }
+  }
+
+  mutable std::mutex mu;
+  std::vector<std::shared_ptr<const JoinIndex>> owned;
+  std::vector<std::shared_ptr<const JoinIndex>> retired;
+  std::unique_ptr<std::atomic<const JoinIndex*>[]> published;
+};
+
+Database::Database(std::string name)
+    : name_(std::move(name)),
+      join_indexes_(std::make_unique<JoinIndexes>(0)) {}
+
+Database::~Database() = default;
+Database::Database(Database&&) = default;
+Database& Database::operator=(Database&&) = default;
 
 Database Database::Clone() const {
   Database copy(name_);
@@ -12,6 +64,7 @@ Database Database::Clone() const {
   }
   copy.relations_by_name_ = relations_by_name_;
   copy.foreign_keys_ = foreign_keys_;
+  copy.join_indexes_ = std::make_unique<JoinIndexes>(2 * foreign_keys_.size());
   return copy;
 }
 
@@ -24,7 +77,13 @@ Database Database::CloneCow(const std::vector<RelationId>& touched) const {
   }
   copy.relations_by_name_ = relations_by_name_;
   copy.foreign_keys_ = foreign_keys_;
+  copy.join_indexes_ = std::make_unique<JoinIndexes>(*join_indexes_);
   return copy;
+}
+
+Relation* Database::mutable_relation(RelationId id) {
+  join_indexes_->Drop(id, foreign_keys_);
+  return relations_[static_cast<size_t>(id)].get();
 }
 
 Result<RelationId> Database::AddRelation(RelationSchema schema) {
@@ -82,12 +141,61 @@ Result<ForeignKeyId> Database::AddForeignKey(const std::string& from_relation,
   const ForeignKeyId id = static_cast<ForeignKeyId>(foreign_keys_.size());
   foreign_keys_.push_back(
       ForeignKey{from_rel, from_attr, to_rel, to_attr});
+  // Schema setup is single-threaded: re-slot the (unbuilt) join indexes.
+  join_indexes_ = std::make_unique<JoinIndexes>(2 * foreign_keys_.size());
   return id;
 }
 
 RelationId Database::FindRelation(const std::string& name) const {
   auto it = relations_by_name_.find(name);
   return it == relations_by_name_.end() ? kInvalidRelation : it->second;
+}
+
+const JoinIndex& Database::JoinIndexOn(ForeignKeyId fk_id,
+                                      bool source_is_from_side) const {
+  const ForeignKey& fk = foreign_key(fk_id);
+  if (fk.from_relation == fk.to_relation &&
+      fk.from_attribute == fk.to_attribute) {
+    source_is_from_side = true;  // both directions are the same join
+  }
+  const RelationId source_rel =
+      source_is_from_side ? fk.from_relation : fk.to_relation;
+  const RelationId target_rel =
+      source_is_from_side ? fk.to_relation : fk.from_relation;
+  const Relation& source = relation(source_rel);
+  const Relation& target = relation(target_rel);
+  const JoinIndex::Stamp stamp = JoinIndex::StampOf(source, target);
+  const size_t slot =
+      2 * static_cast<size_t>(fk_id) + (source_is_from_side ? 0 : 1);
+  JoinIndexes& indexes = *join_indexes_;
+  const JoinIndex* index =
+      indexes.published[slot].load(std::memory_order_acquire);
+  if (index != nullptr && index->stamp() == stamp) return *index;
+  std::lock_guard<std::mutex> lock(indexes.mu);
+  index = indexes.owned[slot].get();
+  if (index == nullptr || index->stamp() != stamp) {
+    if (index != nullptr) indexes.retired.push_back(indexes.owned[slot]);
+    indexes.owned[slot] =
+        source_is_from_side
+            ? JoinIndex::Build(source, fk.from_attribute, target,
+                               fk.to_attribute)
+            : JoinIndex::Build(source, fk.to_attribute, target,
+                               fk.from_attribute);
+    index = indexes.owned[slot].get();
+    indexes.published[slot].store(index, std::memory_order_release);
+  }
+  return *index;
+}
+
+size_t Database::JoinIndexBytes() const {
+  std::lock_guard<std::mutex> lock(join_indexes_->mu);
+  size_t bytes = 0;
+  for (const auto* list : {&join_indexes_->owned, &join_indexes_->retired}) {
+    for (const auto& index : *list) {
+      if (index != nullptr) bytes += index->bytes();
+    }
+  }
+  return bytes;
 }
 
 size_t Database::TotalAttributes() const {

@@ -1,5 +1,6 @@
 // Relation: a schema plus a row-oriented instance I(R), with lazily built
-// per-attribute hash indexes used for FK joins.
+// per-attribute hash indexes (the build input of the FK join indexes, see
+// storage/join_index.h).
 #ifndef MWEAVER_STORAGE_RELATION_H_
 #define MWEAVER_STORAGE_RELATION_H_
 

@@ -24,6 +24,7 @@
 #include "query/executor.h"
 #include "test_util.h"
 #include "text/fulltext_engine.h"
+#include "text/sharded_engine.h"
 
 namespace mweaver::core {
 namespace {
@@ -123,6 +124,79 @@ TEST_F(CoreTest, PairwiseTuplePathsPruneUnsupportedMappings) {
   // mapping survives.
   EXPECT_EQ(stats.num_valid_mappings, 1u);
   EXPECT_EQ(ptpm->at({0, 1}).size(), 1u);
+}
+
+// The pairwise stage borrows each (column, attribute)'s rows from the
+// location map instead of probing the engine again. The borrowed sets must
+// be the engine's MatchingRows results, and the stage's output must equal
+// running every pairwise mapping through the executor's own probes — for a
+// monolithic and a 3-shard engine.
+TEST(PairwiseBorrowTest, LocationRowsEqualProbesAndBorrowingChangesNothing) {
+  size_t supported = 0;
+  for (uint64_t seed = 1; seed <= 15; ++seed) {
+    const Database db = testing::MakeUniversityDb(seed);
+    const graph::SchemaGraph graph(&db);
+    Rng rng(seed * 7 + 1);
+    std::vector<std::string> samples;
+    for (int c = 0; c < 3; ++c) {
+      samples.push_back(testing::RandomSearchableValue(db, &rng));
+    }
+    for (uint32_t shards : {1u, 3u}) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << ", shards "
+                                        << shards);
+      const std::unique_ptr<text::FullTextEngine> engine =
+          shards == 1 ? std::make_unique<text::FullTextEngine>(
+                            &db, text::MatchPolicy::Substring())
+                      : std::make_unique<text::ShardedTextEngine>(
+                            &db, text::MatchPolicy::Substring(), shards);
+      const LocationMap map = LocationMap::Build(*engine, samples);
+      for (size_t i = 0; i < samples.size(); ++i) {
+        for (const text::AttributeRef& attr : map.AttributesOf(i)) {
+          const std::vector<storage::RowId>* rows = map.RowsOf(i, attr);
+          ASSERT_NE(rows, nullptr);
+          EXPECT_EQ(*rows, *engine->MatchingRows(attr, samples[i]));
+        }
+      }
+
+      SearchOptions options;
+      ExecutionContext ctx;
+      const PairwiseMappingMap pmpm =
+          GeneratePairwiseMappingPaths(graph, map, options, ctx);
+      const query::PathExecutor executor(engine.get());
+      PairwiseStats stats;
+      auto ptpm =
+          CreatePairwiseTuplePaths(executor, pmpm, map, options, ctx, &stats);
+      ASSERT_TRUE(ptpm.ok());
+      supported += stats.num_valid_mappings;
+      // Reference: the same queries, each probing its own samples.
+      PairwiseTupleMap probed;
+      query::ExecOptions exec_options;
+      exec_options.max_results = options.max_tuple_paths_per_mapping;
+      for (const auto& [key, mappings] : pmpm) {
+        const query::SampleMap pair{{key.first, samples[key.first]},
+                                    {key.second, samples[key.second]}};
+        for (const MappingPath& mapping : mappings) {
+          auto paths = executor.Execute(mapping, pair, exec_options);
+          ASSERT_TRUE(paths.ok());
+          if (paths->empty()) continue;
+          std::vector<TuplePath>& bucket = probed[key];
+          bucket.insert(bucket.end(), paths->begin(), paths->end());
+        }
+      }
+      ASSERT_EQ(ptpm->size(), probed.size());
+      for (const auto& [key, paths] : probed) {
+        const std::vector<TuplePath>& borrowed = ptpm->at(key);
+        ASSERT_EQ(borrowed.size(), paths.size());
+        for (size_t k = 0; k < paths.size(); ++k) {
+          EXPECT_EQ(borrowed[k].Canonical(), paths[k].Canonical());
+        }
+      }
+    }
+  }
+  EXPECT_GT(supported, 20u);  // the corpus exercises real supports
+  // A map built from bare attributes holds no rows to lend.
+  const LocationMap bare = LocationMap::FromAttributes({{{0, 1}}}, {"x"});
+  EXPECT_EQ(bare.RowsOf(0, {0, 1}), nullptr);
 }
 
 // ----------------------------------------------------------------- Weaver --

@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -206,6 +208,132 @@ TEST_F(ServiceTest, ServiceRequestWithExpiredDeadlineAnswersImmediately) {
   EXPECT_TRUE(result.status.ok());
   EXPECT_EQ(result.outcome, RequestOutcome::kTruncated);
   EXPECT_TRUE(result.truncated);
+}
+
+// A pruning keystroke whose deadline expires inside PruneByStructure keeps
+// its unexamined candidates. That answer is partial, so the service must
+// report it kTruncated, not kOk.
+//
+// Source: 100 films and 100 people. Person 99 ("ann smith") directed film
+// 99 and person 98 ("bob smith") wrote it; everyone else is "ann doe k"
+// and linked to nothing. First row ("film 99", "smith") keeps the director
+// and writer mappings. Second row ("film", "ann") matches 100 films and 99
+// people, so each structure check walks ~100 enumeration nodes; the uncut
+// pass drops the writer mapping (bob is not an "ann").
+storage::Database MakeLongPruneDb() {
+  using storage::RelationSchema;
+  using testing::AddRow;
+  using testing::I;
+  using testing::IdAttr;
+  using testing::S;
+  using testing::StrAttr;
+  storage::Database db("long_prune");
+  db.AddRelation(RelationSchema("movie", {IdAttr("mid"), StrAttr("title")}))
+      .ValueOrDie();
+  db.AddRelation(RelationSchema("person", {IdAttr("pid"), StrAttr("name")}))
+      .ValueOrDie();
+  db.AddRelation(RelationSchema("director", {IdAttr("mid"), IdAttr("pid")}))
+      .ValueOrDie();
+  db.AddRelation(RelationSchema("writer", {IdAttr("mid"), IdAttr("pid")}))
+      .ValueOrDie();
+  db.AddForeignKey("director", "mid", "movie", "mid").ValueOrDie();
+  db.AddForeignKey("director", "pid", "person", "pid").ValueOrDie();
+  db.AddForeignKey("writer", "mid", "movie", "mid").ValueOrDie();
+  db.AddForeignKey("writer", "pid", "person", "pid").ValueOrDie();
+  for (int k = 0; k < 100; ++k) {
+    AddRow(&db, "movie", {I(k), S("film " + std::to_string(k))});
+    const std::string name = k == 99   ? "ann smith"
+                             : k == 98 ? "bob smith"
+                                       : "ann doe " + std::to_string(k);
+    AddRow(&db, "person", {I(k), S(name)});
+  }
+  AddRow(&db, "director", {I(99), I(99)});
+  AddRow(&db, "writer", {I(99), I(98)});
+  return db;
+}
+
+// Clock for the session under test: the first read after it is installed
+// sees the real time, every later read sees the end of time.
+std::atomic<int> g_long_prune_clock_reads{0};
+SearchClock::time_point ExpireAfterFirstRead() {
+  return g_long_prune_clock_reads.fetch_add(1) == 0
+             ? SearchClock::now()
+             : SearchClock::time_point::max();
+}
+
+TEST(ServicePruneDeadlineTest, DeadlineCutPruningPassIsTruncated) {
+  catalog::Catalog catalog;
+  ASSERT_TRUE(catalog.Publish("hub", MakeLongPruneDb()).ok());
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.search_parallelism = 1;  // one context: a deterministic poll order
+  MappingService svc(&catalog, options);
+
+  const auto type = [&](SessionId id, size_t row, size_t col,
+                        const char* value) {
+    InputRequest request;
+    request.session_id = id;
+    request.row = row;
+    request.col = col;
+    request.value = value;
+    request.deadline = std::chrono::seconds(30);
+    return svc.Call(request);
+  };
+  const auto candidates = [&](SessionId id) {
+    std::set<std::string> out;
+    EXPECT_TRUE(svc.sessions()
+                    .WithSession(id,
+                                 [&](core::Session& session) {
+                                   for (const auto& c : session.candidates()) {
+                                     out.insert(c.mapping.Canonical());
+                                   }
+                                   return Status::OK();
+                                 })
+                    .ok());
+    return out;
+  };
+  // Both sessions type the same cells; only the second one's last pruning
+  // pass runs out of time.
+  SessionId ids[2];
+  for (SessionId& id : ids) {
+    id = *svc.CreateSession("hub", {"Title", "Name"});
+    ASSERT_EQ(type(id, 0, 0, "film 99").outcome, RequestOutcome::kOk);
+    ASSERT_EQ(type(id, 0, 1, "smith").outcome, RequestOutcome::kOk);
+    ASSERT_EQ(type(id, 1, 0, "film").outcome, RequestOutcome::kOk);
+  }
+  const std::set<std::string> before = candidates(ids[1]);
+  ASSERT_GE(before.size(), 2u);
+
+  const RequestResult uncut = type(ids[0], 1, 1, "ann");
+  EXPECT_EQ(uncut.outcome, RequestOutcome::kOk);
+  EXPECT_FALSE(uncut.truncated);
+  const std::set<std::string> uncut_set = candidates(ids[0]);
+  ASSERT_LT(uncut_set.size(), before.size());  // the writer mapping fell
+
+  // PruneByAttribute polls once per candidate, fewer than the context's
+  // clock-read stride, so its only clock read is the first one: it runs to
+  // the end, and the deadline expires at the next read, inside the
+  // structure checks.
+  ASSERT_LT(before.size(), core::ExecutionContext::kStopPollStride);
+  ASSERT_TRUE(svc.sessions()
+                  .WithSession(ids[1],
+                               [](core::Session& session) {
+                                 session.context().SetClockForTesting(
+                                     &ExpireAfterFirstRead);
+                                 return Status::OK();
+                               })
+                  .ok());
+  const RequestResult cut = type(ids[1], 1, 1, "ann");
+  EXPECT_GE(g_long_prune_clock_reads.load(), 2);
+  EXPECT_TRUE(cut.status.ok());
+  EXPECT_EQ(cut.outcome, RequestOutcome::kTruncated);
+  EXPECT_TRUE(cut.truncated);
+  const std::set<std::string> cut_set = candidates(ids[1]);
+  EXPECT_GT(cut_set.size(), uncut_set.size());
+  for (const std::string& mapping : uncut_set) {
+    EXPECT_EQ(cut_set.count(mapping), 1u) << mapping;
+  }
+  EXPECT_EQ(svc.SnapshotMetrics().requests_truncated, 1u);
 }
 
 // ---------------------------------------------------------- ResultCache --
@@ -475,6 +603,46 @@ TEST_F(ServiceTest, CacheLruEvictsOldestAndCountsHits) {
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.hits(), 3u);
   EXPECT_EQ(cache.misses(), 1u);
+}
+
+TEST_F(ServiceTest, CacheCountsLruEvictionsApartFromTenantPurges) {
+  ResultCache cache(1);
+  const SearchOptions options;
+  core::SearchResult result;
+  const std::string first = ResultCache::MakeKey("t1", 1, 0, 1, {"a"}, options);
+  const std::string second =
+      ResultCache::MakeKey("t;2", 1, 0, 1, {"b"}, options);
+  EXPECT_EQ(ResultCache::TenantOfKey(second), "t;2");
+  EXPECT_EQ(ResultCache::TenantOfKey("b"), "");
+  EXPECT_FALSE(cache.Insert(first, result).has_value());
+  EXPECT_FALSE(cache.Insert(first, result).has_value());  // a refresh
+  // The second key pushes the first one out: an eviction of t1's entry.
+  EXPECT_EQ(cache.Insert(second, result), std::optional<std::string>("t1"));
+  EXPECT_FALSE(cache.Lookup(first).has_value());
+  // A tenant purge reports its own count; it is not an LRU eviction, so the
+  // next insert into the emptied cache evicts nothing.
+  EXPECT_EQ(cache.EvictTenantEntries("t;2"), 1u);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.Insert(first, result).has_value());
+}
+
+TEST_F(ServiceTest, ServiceReportsCacheEvictionsPerTenant) {
+  ServiceOptions options;
+  options.cache_capacity = 1;
+  MappingService svc(&catalog_, options);
+  for (const char* title : {"Avatar", "Big Fish"}) {
+    const SessionId id = *svc.CreateSession({"Name"});
+    InputRequest request;
+    request.session_id = id;
+    request.value = title;
+    ASSERT_EQ(svc.Call(request).outcome, RequestOutcome::kOk);
+  }
+  EXPECT_EQ(svc.SnapshotMetrics().cache_evictions, 1u);
+  EXPECT_EQ(svc.PerTenantMetrics().at(std::string(kDefaultTenant))
+                .cache_evictions,
+            1u);
+  EXPECT_NE(svc.SnapshotMetrics().ToJson().find("\"cache_evictions\":1"),
+            std::string::npos);
 }
 
 TEST_F(ServiceTest, CacheRejectsTruncatedResults) {

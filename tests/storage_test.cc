@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <vector>
 
+#include "common/random.h"
 #include "storage/csv.h"
 #include "storage/database.h"
 #include "storage/dump.h"
+#include "storage/join_index.h"
 #include "storage/stats.h"
 #include "storage/relation.h"
 #include "storage/schema.h"
@@ -356,6 +361,212 @@ TEST(DumpTest, FileRoundTrip) {
   EXPECT_TRUE(LoadDatabaseFromFile("/nonexistent/db.mwdb")
                   .status()
                   .IsIOError());
+}
+
+// ------------------------------------------------------------ JoinIndex --
+
+// Nested-loop reference for JoinIndex::Joined: the live rows of `target`
+// whose `target_attr` equals source row `row`'s `source_attr`, ascending;
+// nothing for a NULL source value or a tombstoned source row.
+std::vector<uint32_t> NestedLoopJoin(const Relation& source,
+                                     AttributeId source_attr,
+                                     const Relation& target,
+                                     AttributeId target_attr, RowId row) {
+  std::vector<uint32_t> joined;
+  const Value& value = source.at(row, source_attr);
+  if (value.is_null() || source.is_deleted(row)) return joined;
+  for (size_t t = 0; t < target.num_rows(); ++t) {
+    if (target.is_deleted(static_cast<RowId>(t))) continue;
+    if (target.at(static_cast<RowId>(t), target_attr) == value) {
+      joined.push_back(static_cast<uint32_t>(t));
+    }
+  }
+  return joined;
+}
+
+ForeignKeyId fk_id(size_t f) { return static_cast<ForeignKeyId>(f); }
+
+// Checks both directions of every FK of `db` against the reference.
+void ExpectJoinIndexesMatchNestedLoops(const Database& db) {
+  for (size_t f = 0; f < db.foreign_keys().size(); ++f) {
+    const ForeignKey& fk = db.foreign_key(static_cast<ForeignKeyId>(f));
+    for (bool from_side : {true, false}) {
+      const Relation& source =
+          db.relation(from_side ? fk.from_relation : fk.to_relation);
+      const Relation& target =
+          db.relation(from_side ? fk.to_relation : fk.from_relation);
+      const AttributeId source_attr =
+          from_side ? fk.from_attribute : fk.to_attribute;
+      const AttributeId target_attr =
+          from_side ? fk.to_attribute : fk.from_attribute;
+      const JoinIndex& index =
+          db.JoinIndexOn(static_cast<ForeignKeyId>(f), from_side);
+      ASSERT_EQ(index.num_source_rows(), source.num_rows());
+      for (size_t r = 0; r < source.num_rows(); ++r) {
+        const std::span<const uint32_t> joined =
+            index.Joined(static_cast<RowId>(r));
+        EXPECT_EQ(std::vector<uint32_t>(joined.begin(), joined.end()),
+                  NestedLoopJoin(source, source_attr, target, target_attr,
+                                 static_cast<RowId>(r)))
+            << "fk " << f << (from_side ? " from" : " to") << " side, row "
+            << r;
+      }
+    }
+  }
+}
+
+// A random row for one relation of MakeRandomJoinDb. Values come from
+// small ranges, so keys repeat, some FK values dangle (no referenced row),
+// and a share of them are NULL.
+Row RandomJoinRow(const std::string& relation, int64_t nodes, Rng* rng) {
+  const auto maybe_null = [&](int64_t hi) {
+    return rng->Bernoulli(0.15) ? Value() : I(rng->UniformInt(0, hi));
+  };
+  // ids repeat (range < count) and parents reach past the largest id.
+  if (relation == "node") {
+    return {I(rng->UniformInt(0, nodes * 3 / 4)), maybe_null(nodes), S("n")};
+  }
+  if (relation == "edge") return {maybe_null(nodes), maybe_null(nodes)};
+  return {maybe_null(6), S("t")};
+}
+
+constexpr int64_t kJoinDbNodes = 30;
+
+// A seeded random database with the join shapes the index must get right:
+//   node(id, parent, name)  node.parent -> node.id (self FK, two attrs)
+//   edge(src, dst)          edge.src -> node.id, edge.dst -> node.id
+//   tag(code, label)        tag.code -> tag.code (self FK, one attribute)
+// Random rows of every relation are tombstoned.
+Database MakeRandomJoinDb(uint64_t seed) {
+  Rng rng(seed);
+  Database db("joins");
+  db.AddRelation(RelationSchema(
+                     "node", {IdAttr("id"), IdAttr("parent"), StrAttr("name")}))
+      .ValueOrDie();
+  db.AddRelation(RelationSchema("edge", {IdAttr("src"), IdAttr("dst")}))
+      .ValueOrDie();
+  db.AddRelation(RelationSchema("tag", {IdAttr("code"), StrAttr("label")}))
+      .ValueOrDie();
+  db.AddForeignKey("node", "parent", "node", "id").ValueOrDie();
+  db.AddForeignKey("edge", "src", "node", "id").ValueOrDie();
+  db.AddForeignKey("edge", "dst", "node", "id").ValueOrDie();
+  db.AddForeignKey("tag", "code", "tag", "code").ValueOrDie();
+  const size_t rows[] = {5 + rng.Index(40), rng.Index(60), 1 + rng.Index(20)};
+  for (size_t r = 0; r < db.num_relations(); ++r) {
+    const std::string& name = db.relation(static_cast<RelationId>(r)).name();
+    for (size_t i = 0; i < rows[r]; ++i) {
+      AddRow(&db, name, RandomJoinRow(name, kJoinDbNodes, &rng));
+    }
+  }
+  for (size_t r = 0; r < db.num_relations(); ++r) {
+    Relation* rel = db.mutable_relation(static_cast<RelationId>(r));
+    for (size_t row = 0; row < rel->num_rows(); ++row) {
+      if (rng.Bernoulli(0.2)) {
+        EXPECT_TRUE(rel->Delete(static_cast<RowId>(row)).ok());
+      }
+    }
+  }
+  return db;
+}
+
+TEST(JoinIndexTest, MatchesNestedLoopsOnRandomDatabases) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    const Database db = MakeRandomJoinDb(seed);
+    ExpectJoinIndexesMatchNestedLoops(db);
+  }
+}
+
+TEST(JoinIndexTest, SelfReferencingForeignKeys) {
+  const Database db = MakeRandomJoinDb(7);
+  // node.parent -> node.id: the two directions are different joins.
+  EXPECT_NE(&db.JoinIndexOn(0, true), &db.JoinIndexOn(0, false));
+  // tag.code -> tag.code: one join, one index.
+  EXPECT_EQ(&db.JoinIndexOn(3, true), &db.JoinIndexOn(3, false));
+}
+
+TEST(JoinIndexTest, IndexIsBuiltOnceAndReportsItsBytes) {
+  const Database db = MakeFigure2Db();
+  EXPECT_EQ(db.JoinIndexBytes(), 0u);
+  const JoinIndex& index = db.JoinIndexOn(0, true);  // director.mid -> movie
+  EXPECT_EQ(&db.JoinIndexOn(0, true), &index);
+  EXPECT_EQ(db.JoinIndexBytes(), index.bytes());
+  EXPECT_GT(index.bytes(), 0u);
+  // Avatar (movie row 0) is directed in director row 0.
+  const std::span<const uint32_t> directed = db.JoinIndexOn(0, false).Joined(0);
+  EXPECT_EQ(std::vector<uint32_t>(directed.begin(), directed.end()),
+            std::vector<uint32_t>{0});
+}
+
+// A chain of copy-on-write deltas, each appending and tombstoning rows of a
+// random subset of relations: every index read after a delta must match
+// the nested loops over the delta's rows, and an FK whose relations the
+// delta left alone must keep the parent's index.
+TEST(JoinIndexTest, DeltasRebuildChangedIndexesAndShareTheRest) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed * 31 + 7);
+    Database current = MakeRandomJoinDb(seed);
+    ExpectJoinIndexesMatchNestedLoops(current);  // builds every index
+    for (int round = 0; round < 6; ++round) {
+      SCOPED_TRACE(::testing::Message() << "round " << round);
+      std::vector<RelationId> touched;
+      for (RelationId r = 0; r < 3; ++r) {
+        if (rng.Bernoulli(0.5)) touched.push_back(r);
+      }
+      Database next = current.CloneCow(touched);
+      for (RelationId r : touched) {
+        Relation* rel = next.mutable_relation(r);
+        for (size_t i = 0, n = 1 + rng.Index(3); i < n; ++i) {
+          ASSERT_TRUE(
+              rel->Append(RandomJoinRow(rel->name(), kJoinDbNodes, &rng))
+                  .ok());
+        }
+        for (size_t i = 0, n = rng.Index(3); i < n; ++i) {
+          const auto row = static_cast<RowId>(rng.Index(rel->num_rows()));
+          if (!rel->is_deleted(row)) {
+            ASSERT_TRUE(rel->Delete(row).ok());
+          }
+        }
+      }
+      ExpectJoinIndexesMatchNestedLoops(next);
+      const auto untouched = [&](RelationId r) {
+        return std::find(touched.begin(), touched.end(), r) == touched.end();
+      };
+      std::set<const JoinIndex*> held;
+      for (size_t f = 0; f < next.foreign_keys().size(); ++f) {
+        const ForeignKey& fk = next.foreign_key(static_cast<ForeignKeyId>(f));
+        for (bool from_side : {true, false}) {
+          const JoinIndex* index = &next.JoinIndexOn(fk_id(f), from_side);
+          held.insert(index);
+          const bool shared =
+              index == &current.JoinIndexOn(fk_id(f), from_side);
+          EXPECT_EQ(shared, untouched(fk.from_relation) &&
+                                untouched(fk.to_relation))
+              << "fk " << f;
+        }
+      }
+      // The delta holds its current indexes only, none of the parent's
+      // indexes over the relations it changed.
+      size_t held_bytes = 0;
+      for (const JoinIndex* index : held) held_bytes += index->bytes();
+      EXPECT_EQ(next.JoinIndexBytes(), held_bytes);
+      ExpectJoinIndexesMatchNestedLoops(current);  // the parent is intact
+      current = std::move(next);
+    }
+    // A change in place, on a database its caller owns, rebuilds too: also
+    // through a Relation* taken before the indexes were built, which only
+    // the stamp check can notice.
+    Relation* edges = current.mutable_relation(current.FindRelation("edge"));
+    ExpectJoinIndexesMatchNestedLoops(current);  // builds the dropped ones
+    for (size_t r = 0; r < edges->num_rows(); ++r) {
+      if (!edges->is_deleted(static_cast<RowId>(r))) {
+        ASSERT_TRUE(edges->Delete(static_cast<RowId>(r)).ok());
+        break;
+      }
+    }
+    ExpectJoinIndexesMatchNestedLoops(current);
+  }
 }
 
 }  // namespace
